@@ -38,7 +38,7 @@ Engines
 
 from repro.core.positions import Position, PositionedInstance
 from repro.core.bruteforce import inf_k_bruteforce
-from repro.core.symbolic import inf_k_symbolic, ric_exact
+from repro.core.symbolic import EXACT_MAX_POSITIONS, inf_k_symbolic, ric_exact
 from repro.core.montecarlo import MCEstimate, ric_montecarlo
 from repro.core.measure import inf_k, ric, ric_profile
 from repro.core.welldesign import (
@@ -50,6 +50,7 @@ from repro.core.welldesign import (
 from repro.core.gains import decompose_instance, normalization_gain
 
 __all__ = [
+    "EXACT_MAX_POSITIONS",
     "Position",
     "PositionedInstance",
     "inf_k_bruteforce",

@@ -45,12 +45,16 @@ def inf_k_bruteforce(
     p: Position,
     k: int,
     max_worlds: Optional[int] = 5_000_000,
+    deadline: Optional[float] = None,
 ) -> float:
     """Exact ``INF_I^k(p | Σ)`` by literal enumeration.
 
     *max_worlds* bounds ``2^(n−1) · k^(e+1)`` oracle calls (roughly); it
-    exists to keep accidental large runs from hanging.
+    exists to keep accidental large runs from hanging.  *deadline* is
+    checked once per world (see :func:`repro.service.budget.check_deadline`).
     """
+    from repro.service.budget import check_deadline
+
     n = len(instance.positions)
     rough_cost = (2 ** (n - 1)) * (k ** min(n, 1 + n - 1))
     if max_worlds is not None and rough_cost > max_worlds * k:
@@ -61,6 +65,7 @@ def inf_k_bruteforce(
     total = 0.0
     count = 0
     for revealed in revealed_subsets(instance, p):
+        check_deadline(deadline)
         total += world_entropy_k_bruteforce(World(instance, p, revealed), k)
         count += 1
     return total / count

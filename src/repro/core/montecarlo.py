@@ -95,13 +95,18 @@ def ric_mc_chunk(
     start: int,
     count: int,
     seed: int = 0,
+    deadline: Optional[float] = None,
 ) -> MCChunk:
     """Evaluate samples ``start … start+count−1`` of the seeded estimator.
 
     The shard is deterministic in ``(instance, p, start, count, seed)``;
     sharding ``[0, samples)`` across workers and merging reproduces the
-    unchunked :func:`ric_montecarlo` result exactly.
+    unchunked :func:`ric_montecarlo` result exactly.  *deadline* is
+    checked once per sample (see
+    :func:`repro.service.budget.check_deadline`).
     """
+    from repro.service.budget import check_deadline
+
     if count < 0:
         raise ValueError("negative chunk size")
     others = [q for q in instance.positions if q != p]
@@ -109,6 +114,7 @@ def ric_mc_chunk(
     total_sq = 0.0
     with TRACER.span("mc.chunk", start=start, count=count, seed=seed):
         for j in range(start, start + count):
+            check_deadline(deadline)
             rng = _sample_rng(seed, j)
             revealed = frozenset(q for q in others if rng.random() < 0.5)
             ratio = float(world_limit_ratio(World(instance, p, revealed)))
@@ -138,6 +144,7 @@ def ric_montecarlo(
     samples: int = 200,
     rng: Optional[random.Random] = None,
     seed: int = 0,
+    deadline: Optional[float] = None,
 ) -> MCEstimate:
     """Estimate ``RIC_I(p | Σ)`` from *samples* random revealed sets.
 
@@ -145,12 +152,14 @@ def ric_montecarlo(
     module docstring): deterministic, chunkable, never the global
     :mod:`random` state.  Passing *rng* selects the legacy single-stream
     sampler instead (kept for the E9/E10 benchmarks); *seed* is then
-    ignored.
+    ignored.  *deadline* is checked once per sample on the seeded path.
     """
     if samples <= 0:
         raise ValueError("need at least one sample")
     if rng is None:
-        return merge_mc_chunks([ric_mc_chunk(instance, p, 0, samples, seed)])
+        return merge_mc_chunks(
+            [ric_mc_chunk(instance, p, 0, samples, seed, deadline)]
+        )
 
     others = [q for q in instance.positions if q != p]
     total = 0.0

@@ -30,6 +30,12 @@ from repro.core.worlds import FRESH, World
 from repro.service.metrics import METRICS
 from repro.service.trace import TRACER
 
+#: The exact-sweep size limit: ``ric_exact`` / ``inf_k_symbolic`` refuse
+#: instances with more positions, and the planner degrades past it.
+#: ``repro.service.budget`` imports it, so the engines here import that
+#: module's ``check_deadline`` inside their functions.
+EXACT_MAX_POSITIONS = 18
+
 
 def falling_factorial(n: int, b: int) -> int:
     """``n (n−1) ⋯ (n−b+1)``; 1 when ``b = 0``; 0 when ``n < b``."""
@@ -111,13 +117,17 @@ def inf_k_symbolic(
     instance: PositionedInstance,
     p: Position,
     k: int,
-    max_positions: int = 18,
+    max_positions: int = EXACT_MAX_POSITIONS,
+    deadline: Optional[float] = None,
 ) -> float:
     """Exact ``INF_I^k(p | Σ)`` in bits (averaged over all revealed sets).
 
     The sweep is over ``2^(n−1)`` revealed sets; *max_positions* guards the
-    exponent (use the Monte-Carlo engine beyond it).
+    exponent (use the Monte-Carlo engine beyond it).  *deadline* is
+    checked once per world (see :func:`repro.service.budget.check_deadline`).
     """
+    from repro.service.budget import check_deadline
+
     n = len(instance.positions)
     if n > max_positions + 1:
         raise ValueError(
@@ -128,6 +138,7 @@ def inf_k_symbolic(
     count = 0
     with TRACER.span("ric.sweep", engine="entropy_k", positions=n) as span:
         for revealed in revealed_subsets(instance, p):
+            check_deadline(deadline)
             total += world_entropy_k(World(instance, p, revealed), k)
             count += 1
         span.set(worlds=count)
@@ -139,9 +150,15 @@ def inf_k_symbolic(
 def ric_exact(
     instance: PositionedInstance,
     p: Position,
-    max_positions: int = 18,
+    max_positions: int = EXACT_MAX_POSITIONS,
+    deadline: Optional[float] = None,
 ) -> Fraction:
-    """The exact relative information content ``RIC_I(p | Σ) ∈ [0, 1]``."""
+    """The exact relative information content ``RIC_I(p | Σ) ∈ [0, 1]``.
+
+    *deadline* is checked once per world, as in :func:`inf_k_symbolic`.
+    """
+    from repro.service.budget import check_deadline
+
     n = len(instance.positions)
     if n > max_positions + 1:
         raise ValueError(
@@ -152,6 +169,7 @@ def ric_exact(
     count = 0
     with TRACER.span("ric.sweep", engine="exact", positions=n) as span:
         for revealed in revealed_subsets(instance, p):
+            check_deadline(deadline)
             total += world_limit_ratio(World(instance, p, revealed))
             count += 1
         span.set(worlds=count)

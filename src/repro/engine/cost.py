@@ -30,13 +30,11 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.core.symbolic import EXACT_MAX_POSITIONS
 from repro.engine.problem import Problem
 
 #: Mirrors ``inf_k_bruteforce``'s default oracle-call ceiling.
 BRUTEFORCE_MAX_WORLDS = 5_000_000
-
-#: Mirrors the exact engines' default ``max_positions`` sweep guard.
-EXACT_MAX_POSITIONS = 18
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,10 @@ class Engine:
             problem, self.name, exact_max_positions=exact_max_positions
         )
 
-    def run(self, problem: Problem, pool=None):
+    def run(self, problem: Problem, pool=None, deadline=None):
+        """Compute the raw value; *deadline* (an absolute
+        ``perf_counter()`` reading, ``None`` for no limit) must be passed
+        to :func:`repro.service.budget.check_deadline` once per world."""
         raise NotImplementedError
 
 
@@ -61,10 +64,11 @@ class ExactEngine(Engine):
     op = "ric"
     kind = "exact"
 
-    def run(self, problem: Problem, pool=None):
+    def run(self, problem: Problem, pool=None, deadline=None):
         from repro.core.symbolic import ric_exact
 
-        return ric_exact(problem.resolved_instance(), problem.position_obj())
+        instance, p = problem.resolved_instance(), problem.position_obj()
+        return ric_exact(instance, p, deadline=deadline)
 
 
 class MonteCarloEngine(Engine):
@@ -75,17 +79,16 @@ class MonteCarloEngine(Engine):
     op = "ric"
     kind = "estimate"
 
-    def run(self, problem: Problem, pool=None):
-        instance = problem.resolved_instance()
-        p = problem.position_obj()
-        if pool is not None:
-            return pool.ric_montecarlo(
-                instance, p, samples=problem.samples, seed=problem.seed
-            )
+    def run(self, problem: Problem, pool=None, deadline=None):
         from repro.core.montecarlo import ric_montecarlo
 
-        return ric_montecarlo(
-            instance, p, samples=problem.samples, seed=problem.seed
+        estimate = ric_montecarlo if pool is None else pool.ric_montecarlo
+        return estimate(
+            problem.resolved_instance(),
+            problem.position_obj(),
+            samples=problem.samples,
+            seed=problem.seed,
+            deadline=deadline,
         )
 
 
@@ -96,12 +99,11 @@ class SymbolicKEngine(Engine):
     op = "inf_k"
     kind = "exact"
 
-    def run(self, problem: Problem, pool=None):
+    def run(self, problem: Problem, pool=None, deadline=None):
         from repro.core.symbolic import inf_k_symbolic
 
-        return inf_k_symbolic(
-            problem.resolved_instance(), problem.position_obj(), problem.k
-        )
+        instance, p = problem.resolved_instance(), problem.position_obj()
+        return inf_k_symbolic(instance, p, problem.k, deadline=deadline)
 
 
 class BruteForceEngine(Engine):
@@ -112,12 +114,11 @@ class BruteForceEngine(Engine):
     op = "inf_k"
     kind = "exact"
 
-    def run(self, problem: Problem, pool=None):
+    def run(self, problem: Problem, pool=None, deadline=None):
         from repro.core.bruteforce import inf_k_bruteforce
 
-        return inf_k_bruteforce(
-            problem.resolved_instance(), problem.position_obj(), problem.k
-        )
+        instance, p = problem.resolved_instance(), problem.position_obj()
+        return inf_k_bruteforce(instance, p, problem.k, deadline=deadline)
 
 
 #: The live registry: name -> engine instance.

@@ -10,8 +10,9 @@ and the fallback chain.  No engine runs during planning.
 
 ``execute`` then walks the plan under the budget's wall clock: a stage
 whose estimate was infeasible is skipped (recorded, like the old
-``service/budget.py`` degradation), a stage that exceeds the remaining
-allowance is abandoned on its sacrificial thread, and when the chain is
+``service/budget.py`` degradation); a running stage gets an absolute
+deadline, which its engine checks once per world and stops at with
+:class:`~repro.service.budget.StageTimeout`; and when the chain is
 exhausted the structured
 :class:`~repro.service.budget.BudgetExceeded` carries the full stage
 history — byte-compatible with the pre-planner behavior.
@@ -40,14 +41,9 @@ from repro.core.montecarlo import MCEstimate
 from repro.engine.cost import CostEstimate, CostModel
 from repro.engine.engines import get_engine
 from repro.engine.problem import Problem
-from repro.service.budget import Budget, BudgetExceeded, run_time_boxed
+from repro.service.budget import Budget, BudgetExceeded, StageTimeout
 from repro.service.metrics import METRICS
 from repro.service.trace import TRACER
-
-try:  # concurrent.futures spells its timeout differently per version
-    from concurrent.futures import TimeoutError as _StageTimeout
-except ImportError:  # pragma: no cover
-    _StageTimeout = TimeoutError
 
 #: ``"auto"`` preference ladders per operation: exactness first, the
 #: scalable estimator (or the enumeration ground truth) as fallback.
@@ -281,12 +277,6 @@ class Planner:
         attempts = []
         started = perf_counter()
 
-        def remaining() -> Optional[float]:
-            if budget.wall_seconds is None:
-                return None
-            left = budget.wall_seconds - (perf_counter() - started)
-            return max(left, 0.001)
-
         for step in plan.steps:
             if step.action != "run":
                 attempts.append((step.engine, "skipped:size"))
@@ -296,6 +286,13 @@ class Planner:
                 )
                 continue
             engine = get_engine(step.engine)
+            # Every stage gets at least 1 ms, even after an earlier one
+            # used up the wall.
+            deadline = (
+                None
+                if budget.wall_seconds is None
+                else max(started + budget.wall_seconds, perf_counter() + 0.001)
+            )
             try:
                 # The span carries the stage's unit estimate (and the
                 # calibrated prediction, when one is loaded) next to its
@@ -311,9 +308,7 @@ class Planner:
                     if step.estimate.seconds is not None:
                         span.set(predicted_seconds=step.estimate.seconds)
                     stage_started = perf_counter()
-                    value = run_time_boxed(
-                        lambda: engine.run(problem, pool=pool), remaining()
-                    )
+                    value = engine.run(problem, pool=pool, deadline=deadline)
                     span.set(ok=True)
                 METRICS.inc("engine.runs", engine=step.engine)
                 METRICS.observe(
@@ -321,7 +316,7 @@ class Planner:
                     perf_counter() - stage_started,
                 )
                 return value, step.engine
-            except _StageTimeout:
+            except StageTimeout:
                 attempts.append((step.engine, "timeout"))
                 METRICS.inc("budget.timeouts")
                 TRACER.event("budget.timeout", stage=step.engine)

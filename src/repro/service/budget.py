@@ -1,5 +1,5 @@
 """Per-job budgets: wall-clock limits, typed exhaustion errors, and the
-stage time-boxing machinery the planner executes under.
+cooperative stage deadline the planner executes under.
 
 The exact ``RIC`` sweep is ``Θ(2^(n−1))`` in the number of positions, so
 an unguarded service would hang on the first oversized request.  A
@@ -8,35 +8,31 @@ an unguarded service would hang on the first oversized request.  A
 - **size** — instances with more than ``exact_max_positions`` positions
   never enter the exact sweep (the planner's cost model marks the stage
   infeasible and the plan skips it);
-- **time** — each plan stage runs under the remaining wall-clock
-  allowance via :func:`run_time_boxed`; a stage that exceeds it is
-  abandoned and the next stage gets what is left.  When the chain is
+- **time** — each plan stage runs under an absolute deadline on the
+  planner's ``perf_counter`` clock.  The engines call
+  :func:`check_deadline` once per world (or per sample), which raises
+  :class:`StageTimeout` once the deadline has passed; the stage stops
+  there and the next stage gets what is left.  When the chain is
   exhausted the job fails with a structured :class:`BudgetExceeded`
   carrying the stage history — never a hang, never a bare
   ``TimeoutError``.
 
+Because the check runs on the stage's own thread (or worker process),
+a timed-out stage really stops: it holds no CPU after the timeout beyond
+the one world it was evaluating.
+
 Which engines form the chain, and in which order, is **not** decided
 here: every selection decision lives in
-:class:`repro.engine.planner.Planner`.  :func:`measure_ric_with_budget`
-remains as the historical entry point — it builds a
-:class:`~repro.engine.problem.Problem` and delegates.
-
-Stage timeouts are enforced by running the stage on a sacrificial thread
-and abandoning it on expiry — the orphaned thread finishes its
-computation and is discarded, which is the strongest guarantee available
-without process isolation (CPython offers no safe preemptive kill).
+:class:`repro.engine.planner.Planner`.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
-from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from time import perf_counter
+from typing import List, Optional, Tuple
 
-from repro.service.trace import TRACER
+from repro.core import EXACT_MAX_POSITIONS
 from repro.service.validate import (
     MAX_SAMPLES,
     check_positive_int,
@@ -44,18 +40,32 @@ from repro.service.validate import (
 )
 
 
+class StageTimeout(TimeoutError):
+    """A plan stage ran past its deadline (see :func:`check_deadline`)."""
+
+
+def check_deadline(deadline: Optional[float]) -> None:
+    """Raise :class:`StageTimeout` once *deadline* has passed.
+
+    *deadline* is an absolute ``perf_counter()`` reading, or ``None`` for
+    no limit.  Engines call this once per world or sample.
+    """
+    if deadline is not None and perf_counter() >= deadline:
+        raise StageTimeout()
+
+
 @dataclass(frozen=True)
 class Budget:
     """Resource limits applied to a single job.
 
     ``wall_seconds=None`` disables the clock (size limits still apply);
-    ``exact_max_positions`` mirrors the engine's own sweep guard and is
-    the exact→Monte-Carlo degradation threshold; ``samples``/``seed``
+    ``exact_max_positions`` defaults to the engines' own sweep guard and
+    is the exact→Monte-Carlo degradation threshold; ``samples``/``seed``
     parameterize the fallback estimator.
     """
 
     wall_seconds: Optional[float] = None
-    exact_max_positions: int = 18
+    exact_max_positions: int = EXACT_MAX_POSITIONS
     samples: int = 200
     seed: int = 0
 
@@ -105,84 +115,3 @@ class BudgetExceeded(RuntimeError):
             "elapsed": self.elapsed,
             "budget": self.budget.to_dict(),
         }
-
-
-def run_time_boxed(fn, timeout: Optional[float]):
-    """Run *fn* under *timeout* seconds; raise FuturesTimeout on expiry.
-
-    The stage runs on a dedicated **daemon** thread so expiry returns
-    control immediately and the abandoned stage can never pin process
-    exit (``concurrent.futures`` workers are non-daemon and joined at
-    interpreter shutdown, which would turn a timed-out job into a hang
-    at exit — exactly what budgets exist to prevent).
-    """
-    if timeout is None:
-        return fn()
-    outcome: dict = {}
-    # The stage thread is outside the caller's span stack; bridge the
-    # trace tree across the hop explicitly.
-    parent_span = TRACER.current_id()
-
-    def target() -> None:
-        try:
-            with TRACER.span("budget.stage.thread", parent_id=parent_span):
-                outcome["value"] = fn()
-        except BaseException as exc:  # noqa: BLE001 — relayed to the caller
-            outcome["error"] = exc
-
-    thread = threading.Thread(target=target, name="repro-budget", daemon=True)
-    thread.start()
-    thread.join(timeout)
-    if thread.is_alive():
-        _ABANDONED.add(thread)
-        raise FuturesTimeout()
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["value"]
-
-
-#: Stage threads abandoned by expired budgets (still draining).
-_ABANDONED: "weakref.WeakSet" = weakref.WeakSet()
-
-
-def drain_abandoned(timeout: Optional[float] = None) -> int:
-    """Join abandoned stage threads; returns how many are still alive.
-
-    Abandoned stages finish on daemon threads and are normally just
-    discarded; call this for an orderly shutdown (or between tests) when
-    their residual CPU use or metric increments would interfere.
-    """
-    for thread in list(_ABANDONED):
-        thread.join(timeout)
-    return sum(1 for thread in _ABANDONED if thread.is_alive())
-
-
-def measure_ric_with_budget(
-    instance,
-    p,
-    budget: Budget,
-    method: str = "auto",
-    pool=None,
-) -> Tuple[Union[Fraction, "object"], str]:
-    """``RIC_I(p | Σ)`` under *budget*; returns ``(value, engine_used)``.
-
-    Thin compatibility wrapper: builds the canonical
-    :class:`~repro.engine.problem.Problem` and lets the planner choose,
-    time-box, and degrade.  *method* ``"auto"`` walks the planner's full
-    chain; ``"exact"`` or ``"montecarlo"`` pins a single stage (still
-    size-checked and time-boxed).  When *pool* is a
-    :class:`repro.service.pool.WorkerPool`, the Monte-Carlo stage shards
-    across it; the estimate is identical either way.
-    """
-    from repro.engine import PLANNER, Problem
-
-    problem = Problem.from_instance(
-        instance,
-        p,
-        op="ric",
-        method=method,
-        samples=budget.samples,
-        seed=budget.seed,
-    )
-    result = PLANNER.plan_and_run(problem, budget=budget, pool=pool)
-    return result.value, result.engine

@@ -53,6 +53,7 @@ from repro.core.montecarlo import (
     ric_mc_chunk,
 )
 from repro.core.positions import Position, PositionedInstance
+from repro.service.budget import StageTimeout
 from repro.service.errors import from_exception
 from repro.service.faults import FAULTS
 from repro.service.metrics import METRICS, RETRIES
@@ -96,13 +97,20 @@ def _eval_chunk(args) -> Tuple[MCChunk, Optional[dict]]:
     the reset they would be double-counted on merge).  In thread mode
     (same PID) telemetry is ``None`` — the engines already recorded into
     the shared registry.
+
+    The stage *deadline* is an absolute reading of the submitting
+    process's ``perf_counter()``; a worker process re-bases it on *left*,
+    the seconds that remained when the chunk was submitted.
     """
-    instance, p, start, count, seed, parent_pid, parent_span, trace = args
+    (instance, p, start, count, seed, deadline, left,
+     parent_pid, parent_span, trace) = args
     in_child = os.getpid() != parent_pid
     if in_child:
         METRICS.reset()
         TRACER.reset()
         TRACER.set_enabled(trace)
+        if left is not None:
+            deadline = _time.perf_counter() + left
     FAULTS.maybe_raise("chunk", f"{seed}:{start}+{count}")
     with TRACER.span(
         "pool.chunk",
@@ -110,7 +118,7 @@ def _eval_chunk(args) -> Tuple[MCChunk, Optional[dict]]:
         start=start,
         count=count,
     ):
-        chunk = ric_mc_chunk(instance, p, start, count, seed)
+        chunk = ric_mc_chunk(instance, p, start, count, seed, deadline)
     if not in_child:
         return chunk, None
     telemetry = {
@@ -198,7 +206,8 @@ class WorkerPool:
         results are never recomputed), rebuilding the executor first if
         it broke.  A non-retryable failure, or a retryable one that
         exhausts ``retry.max_attempts``, raises its taxonomy-wrapped
-        :class:`~repro.service.errors.JobError`.
+        :class:`~repro.service.errors.JobError`; a
+        :class:`~repro.service.budget.StageTimeout` is raised as it is.
         """
         tokens = (
             [str(t) for t in tokens]
@@ -217,6 +226,8 @@ class WorkerPool:
             for index, future in futures.items():
                 try:
                     results[index] = future.result()
+                except StageTimeout:
+                    raise  # the stage is over: nothing to retry or wrap
                 except Exception as exc:  # noqa: BLE001 — classified below
                     error = from_exception(exc)
                     if not self.retry.is_retryable(error.kind):
@@ -257,14 +268,18 @@ class WorkerPool:
         p: Position,
         samples: int = 200,
         seed: int = 0,
+        deadline: Optional[float] = None,
     ) -> MCEstimate:
         """Sharded, deterministic Monte-Carlo ``RIC`` (see module doc).
 
         Chunks run through :meth:`map_retrying`, so transient worker
         failures re-execute only the affected ranges; the merged
         estimate is bit-identical to the failure-free serial result.
+        Every chunk checks *deadline* once per sample, and the first
+        :class:`~repro.service.budget.StageTimeout` is raised here.
         """
         ranges = chunk_ranges(samples, self.workers)
+        left = None if deadline is None else deadline - _time.perf_counter()
         METRICS.inc("pool.mc.shards", len(ranges))
         parent_pid = os.getpid()
         trace = TRACER.enabled
@@ -276,7 +291,7 @@ class WorkerPool:
             results = self.map_retrying(
                 _eval_chunk,
                 [
-                    (instance, p, start, count, seed,
+                    (instance, p, start, count, seed, deadline, left,
                      parent_pid, parent_span, trace)
                     for start, count in ranges
                 ],
