@@ -1,27 +1,23 @@
-"""E17 — The cost-based planner: overhead, crossover, plan caching.
+"""E17 — The cost-based planner: overhead and crossover.
 
 The planner (PR 4) replaces hand-coded engine dispatch with a pure
-cost-model decision.  Three claims to verify:
+cost-model decision.  Two claims to verify:
 
 - **overhead**: planning is a fixed small cost — under 5% of even the
   *cheapest* engine run on the E10 workload (it touches only the IR
   shape, never the instance);
 - **crossover**: on small instances the plan picks the exact sweep, past
   the size guard it picks Monte Carlo — the degradation that used to be
-  hand-coded in ``service/budget.py``, now visible in the plan;
-- **caching**: a repeated ``plan_and_run`` with a result cache answers
-  from the plan-keyed entry and skips engine execution entirely.
+  hand-coded in ``service/budget.py``, now visible in the plan.
 """
 
 import time
 
 from repro.core import PositionedInstance, ric_montecarlo
 from repro.dependencies import FD
-from repro.engine import PLANNER, Problem, plan_and_run
+from repro.engine import PLANNER, Problem
 from repro.relational import Relation, RelationSchema
 from repro.service.budget import Budget
-from repro.service.cache import ResultCache
-from repro.service.metrics import METRICS
 
 from benchmarks.common import print_table
 
@@ -55,7 +51,7 @@ def test_e17_planner_overhead(benchmark):
 
             start = time.perf_counter()
             for _ in range(plan_iterations):
-                PLANNER.plan(prob, Budget(samples=samples))
+                PLANNER.plan(prob, Budget())
             plan_time = (time.perf_counter() - start) / plan_iterations
 
             # Monte Carlo is the cheapest engine at every E10 size.
@@ -112,43 +108,6 @@ def test_e17_crossover(benchmark):
     assert chosen[0] == "exact" and chosen[-1] == "montecarlo"
     # One clean crossover, no flapping.
     assert chosen == sorted(chosen, key=("exact", "montecarlo").index)
-
-
-def test_e17_plan_cache(benchmark):
-    """A cached plan+result hit answers without running any engine."""
-    prob = problem_for(4, method="montecarlo", samples=400, seed=11)
-
-    def run():
-        cache = ResultCache()
-        METRICS.reset()
-        start = time.perf_counter()
-        cold = plan_and_run(prob, cache=cache)
-        cold_time = time.perf_counter() - start
-
-        runs_cold = METRICS.snapshot()["counters"].get(
-            "engine.runs{engine=montecarlo}", 0
-        )
-        start = time.perf_counter()
-        warm = plan_and_run(prob, cache=cache)
-        warm_time = time.perf_counter() - start
-        runs_warm = METRICS.snapshot()["counters"].get(
-            "engine.runs{engine=montecarlo}", 0
-        )
-
-        assert warm.cached and warm.value == cold.value
-        assert runs_warm == runs_cold  # no engine ran on the hit
-        return [
-            ("cold", f"{cold_time * 1e3:.2f} ms", cold.cached, runs_cold),
-            ("warm", f"{warm_time * 1e3:.2f} ms", warm.cached, runs_warm),
-        ]
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    print_table(
-        "E17c: plan-level result cache (MC, 400 samples)",
-        ["run", "time", "cache hit", "engine runs (cumulative)"],
-        rows,
-    )
-    METRICS.reset()
 
 
 def test_e17_plan_kernel(benchmark):

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 from repro.core.bruteforce import inf_k_bruteforce
 from repro.core.montecarlo import MCEstimate, ric_montecarlo
@@ -35,7 +34,6 @@ def ric(
     p: Position,
     method: str = "exact",
     samples: int = 200,
-    rng: Optional[random.Random] = None,
     seed: int = 0,
 ) -> Union[Fraction, MCEstimate]:
     """The relative information content ``RIC_I(p | Σ) ∈ [0, 1]``.
@@ -44,13 +42,12 @@ def ric(
     all revealed sets); ``"montecarlo"`` returns an
     :class:`~repro.core.montecarlo.MCEstimate` and scales to instances the
     exact sweep cannot handle.  The Monte-Carlo path is deterministic in
-    ``(samples, seed)`` unless an explicit *rng* is given (see
-    :func:`~repro.core.montecarlo.ric_montecarlo`).
+    ``(samples, seed)`` (see :func:`~repro.core.montecarlo.ric_montecarlo`).
     """
     if method == "exact":
         return ric_exact(instance, p)
     if method == "montecarlo":
-        return ric_montecarlo(instance, p, samples=samples, rng=rng, seed=seed)
+        return ric_montecarlo(instance, p, samples=samples, seed=seed)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -58,11 +55,10 @@ def ric_profile(
     instance: PositionedInstance,
     method: str = "exact",
     samples: int = 200,
-    rng: Optional[random.Random] = None,
     seed: int = 0,
 ) -> Dict[Position, Union[Fraction, MCEstimate]]:
     """``RIC`` for every position of the instance."""
     return {
-        p: ric(instance, p, method=method, samples=samples, rng=rng, seed=seed)
+        p: ric(instance, p, method=method, samples=samples, seed=seed)
         for p in instance.positions
     }

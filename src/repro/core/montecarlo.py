@@ -10,8 +10,8 @@ estimator is unbiased for ``RIC`` with per-sample values in ``[0, 1]``.
 Determinism and chunking
 ------------------------
 
-The default sampling path is **counter-based**: sample ``j`` draws its
-revealed set from a private ``random.Random`` seeded by ``mix(seed, j)``.
+Sampling is **counter-based**: sample ``j`` draws its revealed set from
+a private ``random.Random`` seeded by ``mix(seed, j)``.
 That makes the estimate a pure function of ``(instance, p, samples,
 seed)`` — independent of chunk boundaries, worker count, and evaluation
 order — so a chunked parallel run (:func:`ric_mc_chunk` sharded over
@@ -21,9 +21,6 @@ seed)`` are sound.
 
 ``ric_montecarlo`` therefore never touches the global :mod:`random`
 state: with no arguments it uses ``seed=0`` (reproducible by default).
-Passing an explicit ``rng`` selects the legacy single-stream path kept
-for the pre-existing benchmarks; that path depends on sample order and
-cannot be chunked.
 """
 
 from __future__ import annotations
@@ -142,36 +139,17 @@ def ric_montecarlo(
     instance: PositionedInstance,
     p: Position,
     samples: int = 200,
-    rng: Optional[random.Random] = None,
     seed: int = 0,
     deadline: Optional[float] = None,
 ) -> MCEstimate:
     """Estimate ``RIC_I(p | Σ)`` from *samples* random revealed sets.
 
-    By default the counter-based sampler under *seed* is used (see the
-    module docstring): deterministic, chunkable, never the global
-    :mod:`random` state.  Passing *rng* selects the legacy single-stream
-    sampler instead (kept for the E9/E10 benchmarks); *seed* is then
-    ignored.  *deadline* is checked once per sample on the seeded path.
+    The counter-based sampler under *seed* (see the module docstring) is
+    deterministic, chunkable, and never touches the global :mod:`random`
+    state.  *deadline* is checked once per sample.
     """
     if samples <= 0:
         raise ValueError("need at least one sample")
-    if rng is None:
-        return merge_mc_chunks(
-            [ric_mc_chunk(instance, p, 0, samples, seed, deadline)]
-        )
-
-    others = [q for q in instance.positions if q != p]
-    total = 0.0
-    total_sq = 0.0
-    for _ in range(samples):
-        revealed = frozenset(q for q in others if rng.random() < 0.5)
-        ratio = float(world_limit_ratio(World(instance, p, revealed)))
-        total += ratio
-        total_sq += ratio * ratio
-    METRICS.inc("ric.mc.samples", samples)
-
-    mean = total / samples
-    variance = max(0.0, total_sq / samples - mean * mean)
-    stderr = math.sqrt(variance / samples)
-    return MCEstimate(mean=mean, stderr=stderr, samples=samples)
+    return merge_mc_chunks(
+        [ric_mc_chunk(instance, p, 0, samples, seed, deadline)]
+    )

@@ -1,7 +1,7 @@
 """The plan/executor layer over the RIC engines.
 
-One place where cost estimation, engine choice, degradation, caching,
-and instrumentation live — callers build a
+One place where cost estimation, engine choice, degradation, and
+instrumentation live — callers build a
 :class:`~repro.engine.problem.Problem`, call :func:`plan_and_run`, and
 render the :class:`~repro.engine.planner.Plan`:
 
@@ -26,7 +26,7 @@ Modules:
 - :mod:`repro.engine.engines` — the engine registry wrapping the core
   code paths (``exact``, ``montecarlo``, ``symbolic``, ``bruteforce``);
 - :mod:`repro.engine.planner` — the planner/executor with budget
-  fallback and plan-level result caching.
+  fallback.
 
 See ``src/repro/engine/README.md`` for how to register a new engine.
 """
@@ -44,8 +44,6 @@ from repro.engine.planner import (
     Plan,
     Planner,
     PlanStep,
-    decode_value,
-    encode_value,
     plan_and_run,
 )
 from repro.engine.problem import INF_K_METHODS, OPS, RIC_METHODS, Problem
@@ -63,8 +61,6 @@ __all__ = [
     "Planner",
     "Problem",
     "RIC_METHODS",
-    "decode_value",
-    "encode_value",
     "get_engine",
     "plan_and_run",
     "register",

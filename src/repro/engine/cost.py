@@ -107,25 +107,20 @@ def load_calibration(path: str) -> Dict[str, float]:
 class CostModel:
     """Estimates engine cost from the IR (see the module docstring).
 
-    *exact_max_positions* is the sweep guard used for exact-engine
-    feasibility; budgets carry their own threshold and the planner
-    substitutes it per call.  *calibration* maps engine names to
-    observed seconds-per-unit constants (see :func:`load_calibration`);
-    when present, estimates carry predicted wall seconds.
+    *calibration* maps engine names to observed seconds-per-unit
+    constants (see :func:`load_calibration`); when present, estimates
+    carry predicted wall seconds.  The exact-sweep size guard is not the
+    model's: the planner passes each call the budget's
+    ``exact_max_positions``.
     """
 
-    def __init__(
-        self,
-        exact_max_positions: int = EXACT_MAX_POSITIONS,
-        calibration: Optional[Dict[str, float]] = None,
-    ):
-        self.exact_max_positions = exact_max_positions
+    def __init__(self, calibration: Optional[Dict[str, float]] = None):
         self.calibration = dict(calibration or {})
 
     @classmethod
-    def with_calibration(cls, path: str, **kwargs) -> "CostModel":
+    def with_calibration(cls, path: str) -> "CostModel":
         """A model whose calibration is loaded from *path*."""
-        return cls(calibration=load_calibration(path), **kwargs)
+        return cls(calibration=load_calibration(path))
 
     def predicted_seconds(self, engine: str, units: float) -> Optional[float]:
         """Calibrated wall-clock prediction (None when uncalibrated)."""
@@ -138,20 +133,16 @@ class CostModel:
         self,
         problem: Problem,
         engine: str,
-        exact_max_positions: Optional[int] = None,
+        exact_max_positions: int = EXACT_MAX_POSITIONS,
     ) -> CostEstimate:
-        """The :class:`CostEstimate` of *engine* on *problem*."""
+        """The :class:`CostEstimate` of *engine* on *problem* when the
+        exact sweep is allowed *exact_max_positions* positions."""
         n = problem.num_positions
         per_world = max(1, n) * (problem.num_dependencies + 1)
-        limit = (
-            self.exact_max_positions
-            if exact_max_positions is None
-            else exact_max_positions
-        )
 
         if engine in ("exact", "symbolic"):
             worlds = _pow2(max(0, n - 1))
-            feasible = n <= limit + 1
+            feasible = n <= exact_max_positions + 1
             units = worlds * per_world
             return CostEstimate(
                 engine=engine,
@@ -162,7 +153,7 @@ class CostModel:
                     ""
                     if feasible
                     else f"{n} positions exceed the exact-sweep "
-                    f"budget ({limit})"
+                    f"budget ({exact_max_positions})"
                 ),
                 seconds=self.predicted_seconds(engine, units),
             )
@@ -188,7 +179,8 @@ class CostModel:
                 completions = float("inf")
             units = worlds * completions
             feasible = (
-                n <= limit + 1 and units <= BRUTEFORCE_MAX_WORLDS * max(k, 1)
+                n <= exact_max_positions + 1
+                and units <= BRUTEFORCE_MAX_WORLDS * max(k, 1)
             )
             return CostEstimate(
                 engine=engine,

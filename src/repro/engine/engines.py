@@ -4,7 +4,7 @@ Each engine adapts one of the existing computations in
 :mod:`repro.core` to the planner's uniform surface: declare the
 operation it solves, accept a :class:`~repro.engine.problem.Problem`,
 return the raw value.  Engines never choose themselves — selection,
-budgeting, caching, and instrumentation belong to the
+budgeting, and instrumentation belong to the
 :class:`~repro.engine.planner.Planner`.
 
 Registering a new engine (a sharded exact sweep, a vectorized sampler,
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from repro.core.symbolic import EXACT_MAX_POSITIONS
 from repro.engine.cost import CostEstimate, CostModel
 from repro.engine.problem import Problem
 from repro.service.errors import ValidationError
@@ -44,7 +45,7 @@ class Engine:
         self,
         problem: Problem,
         model: CostModel,
-        exact_max_positions: Optional[int] = None,
+        exact_max_positions: int = EXACT_MAX_POSITIONS,
     ) -> CostEstimate:
         return model.estimate(
             problem, self.name, exact_max_positions=exact_max_positions

@@ -1,4 +1,4 @@
-"""The planner: one place where engine choice, budgets, caching, and
+"""The planner: one place where engine choice, budgets, and
 instrumentation live.
 
 ``plan(problem, budget)`` is a **deterministic pure function** of the
@@ -17,27 +17,23 @@ exhausted the structured
 :class:`~repro.service.budget.BudgetExceeded` carries the full stage
 history — byte-compatible with the pre-planner behavior.
 
-``plan_and_run`` adds plan-level result caching: results are keyed by
-:meth:`Problem.canonical_key` through any
-:class:`~repro.service.cache.ResultCache`, so a cache hit skips engine
-execution entirely — and because the key includes method, samples, seed
-and ``k``, an exact result is never served for a sampled request (or
-vice versa).
+``plan_and_run`` is the two in sequence.  The planner caches nothing:
+results are cached one layer up, by the batch runner's
+:class:`~repro.service.cache.ResultCache` keyed on
+:func:`~repro.service.jobs.job_key`.
 
 Instrumentation: ``plan`` and per-engine ``cost_estimate`` spans during
 planning, one ``engine_run`` span per attempted stage, and counters
-``planner.plans`` / ``planner.cache_hits`` / ``engine.runs{engine=…}``
-in the shared registry (reset per batch by ``run_batch``).
+``planner.plans`` / ``engine.runs{engine=…}`` in the shared registry
+(reset per batch by ``run_batch``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from time import perf_counter
 from typing import Any, Optional, Tuple
 
-from repro.core.montecarlo import MCEstimate
 from repro.engine.cost import CostEstimate, CostModel
 from repro.engine.engines import get_engine
 from repro.engine.problem import Problem
@@ -145,34 +141,6 @@ class ExecutionResult:
     value: Any
     engine: str
     plan: Plan
-    cached: bool = False
-
-
-def encode_value(value) -> dict:
-    """JSON-safe encoding of an engine result (for the plan cache)."""
-    if isinstance(value, MCEstimate):
-        return {
-            "kind": "montecarlo",
-            "mean": value.mean,
-            "stderr": value.stderr,
-            "samples": value.samples,
-        }
-    if isinstance(value, Fraction):
-        return {"kind": "exact", "fraction": str(value)}
-    return {"kind": "float", "value": float(value)}
-
-
-def decode_value(payload: dict):
-    """Invert :func:`encode_value` (bit-exact for every kind)."""
-    if payload["kind"] == "montecarlo":
-        return MCEstimate(
-            mean=payload["mean"],
-            stderr=payload["stderr"],
-            samples=payload["samples"],
-        )
-    if payload["kind"] == "exact":
-        return Fraction(payload["fraction"])
-    return payload["value"]
 
 
 class Planner:
@@ -194,10 +162,7 @@ class Planner:
         """
         from repro.engine.cost import load_calibration
 
-        self.cost_model = CostModel(
-            exact_max_positions=self.cost_model.exact_max_positions,
-            calibration=load_calibration(path),
-        )
+        self.cost_model = CostModel(calibration=load_calibration(path))
 
     # ------------------------------------------------------------------
     # planning (pure)
@@ -217,12 +182,7 @@ class Planner:
         Deterministic: the same ``(problem, budget)`` pair always yields
         an identical plan — no clocks, no randomness, no engine runs.
         """
-        limit = (
-            budget.exact_max_positions
-            if budget is not None
-            else self.cost_model.exact_max_positions
-        )
-        wall = budget.wall_seconds if budget is not None else None
+        budget = budget or Budget()
         key = problem.canonical_key()
         steps = []
         with TRACER.span(
@@ -232,7 +192,9 @@ class Planner:
                 engine = get_engine(name)
                 with TRACER.span("cost_estimate", engine=name):
                     estimate = engine.cost(
-                        problem, self.cost_model, exact_max_positions=limit
+                        problem,
+                        self.cost_model,
+                        exact_max_positions=budget.exact_max_positions,
                     )
                 steps.append(
                     PlanStep(
@@ -251,7 +213,7 @@ class Planner:
             method=problem.method,
             chosen=chosen,
             steps=tuple(steps),
-            wall_seconds=wall,
+            wall_seconds=budget.wall_seconds,
         )
 
     # ------------------------------------------------------------------
@@ -271,9 +233,7 @@ class Planner:
         degradation ladder recorded them; an exhausted chain raises the
         structured :class:`~repro.service.budget.BudgetExceeded`.
         """
-        budget = budget or Budget(
-            samples=problem.samples, seed=problem.seed
-        )
+        budget = budget or Budget()
         attempts = []
         started = perf_counter()
 
@@ -328,36 +288,10 @@ class Planner:
         problem: Problem,
         budget: Optional[Budget] = None,
         pool=None,
-        cache=None,
     ) -> ExecutionResult:
-        """Plan, consult the plan-level cache, execute on a miss.
-
-        *cache* is any :class:`~repro.service.cache.ResultCache`; entries
-        are keyed by :meth:`Problem.canonical_key` and store the encoded
-        value with the plan that produced it, so a hit skips engine
-        execution entirely and still renders an accurate plan.
-        """
+        """Plan *problem*, then execute the plan."""
         plan = self.plan(problem, budget=budget)
-        if cache is not None:
-            entry = cache.get(plan.key)
-            if isinstance(entry, dict) and "value" in entry:
-                METRICS.inc("planner.cache_hits")
-                return ExecutionResult(
-                    value=decode_value(entry["value"]),
-                    engine=entry.get("engine", plan.chosen or ""),
-                    plan=plan,
-                    cached=True,
-                )
         value, engine = self.execute(problem, plan, budget=budget, pool=pool)
-        if cache is not None:
-            cache.put(
-                plan.key,
-                {
-                    "value": encode_value(value),
-                    "engine": engine,
-                    "plan": plan.to_dict(),
-                },
-            )
         return ExecutionResult(value=value, engine=engine, plan=plan)
 
 
@@ -369,9 +303,6 @@ def plan_and_run(
     problem: Problem,
     budget: Optional[Budget] = None,
     pool=None,
-    cache=None,
 ) -> ExecutionResult:
     """Module-level convenience over :data:`PLANNER`."""
-    return PLANNER.plan_and_run(
-        problem, budget=budget, pool=pool, cache=cache
-    )
+    return PLANNER.plan_and_run(problem, budget=budget, pool=pool)

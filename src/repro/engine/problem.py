@@ -12,11 +12,12 @@ Serialization reuses the canonicalization rules of
 order are normalized away, and :func:`canonical_digest` is the same
 SHA-256-over-canonical-JSON helper that backs :func:`job_key` — so two
 textually different but semantically identical requests share one
-:meth:`Problem.canonical_key`.  Crucially, the key *includes* every
-engine-relevant parameter: the method, ``samples`` and ``seed`` whenever
-the method can sample, and ``k`` for finite-``k`` operations.  A cached
-exact result can therefore never be served for a Monte-Carlo request
-(or for a Monte-Carlo request with different samples), and vice versa.
+:meth:`Problem.canonical_key`.  The key *includes* every engine-relevant
+parameter: the method, ``samples`` and ``seed`` whenever the method can
+sample, and ``k`` for finite-``k`` operations.  It names a
+:class:`~repro.engine.planner.Plan`; results are cached by the batch
+runner under :func:`~repro.service.jobs.job_key`, which covers the same
+parameters.
 """
 
 from __future__ import annotations
@@ -268,13 +269,3 @@ class Problem:
     def canonical_key(self) -> str:
         """The content address of this problem (SHA-256, hex)."""
         return canonical_digest(self.canonical())
-
-    def instance_digest(self) -> str:
-        """A digest of the instance alone (schema + Σ + rows + position),
-        shared by every method/parameter variation over the same data."""
-        return canonical_digest(
-            {
-                "relations": self.canonical()["relations"],
-                "position": list(self.position),
-            }
-        )

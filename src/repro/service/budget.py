@@ -33,11 +33,7 @@ from time import perf_counter
 from typing import List, Optional, Tuple
 
 from repro.core import EXACT_MAX_POSITIONS
-from repro.service.validate import (
-    MAX_SAMPLES,
-    check_positive_int,
-    check_timeout,
-)
+from repro.service.validate import check_positive_int, check_timeout
 
 
 class StageTimeout(TimeoutError):
@@ -60,27 +56,23 @@ class Budget:
 
     ``wall_seconds=None`` disables the clock (size limits still apply);
     ``exact_max_positions`` defaults to the engines' own sweep guard and
-    is the exact→Monte-Carlo degradation threshold; ``samples``/``seed``
-    parameterize the fallback estimator.
+    is the exact→Monte-Carlo degradation threshold.  What a job computes
+    (including Monte-Carlo ``samples``/``seed``) is the
+    :class:`~repro.engine.problem.Problem`'s, not the budget's.
     """
 
     wall_seconds: Optional[float] = None
     exact_max_positions: int = EXACT_MAX_POSITIONS
-    samples: int = 200
-    seed: int = 0
 
     def __post_init__(self):
         # Shared bounds validation (raises ValidationError, a ValueError).
         check_timeout("wall_seconds", self.wall_seconds)
         check_positive_int("exact_max_positions", self.exact_max_positions)
-        check_positive_int("samples", self.samples, maximum=MAX_SAMPLES)
 
     def to_dict(self) -> dict:
         return {
             "wall_seconds": self.wall_seconds,
             "exact_max_positions": self.exact_max_positions,
-            "samples": self.samples,
-            "seed": self.seed,
         }
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from repro.relational.parser import parse_design
-from repro.service.errors import JobError as _TaxonomyError
+from repro.service.errors import JobError
 from repro.service.errors import ValidationError
 from repro.service.faults import FAULTS
 from repro.service.validate import RIC_METHODS, check_method
@@ -41,10 +41,6 @@ class JobSpecError(ValidationError):
     for pre-taxonomy callers.
     """
 
-
-#: Back-compat alias (this was the module's error class before the
-#: structured taxonomy in :mod:`repro.service.errors` existed).
-JobError = JobSpecError
 
 
 def _canonical_design(design: str) -> Tuple[str, Tuple[str, ...]]:
@@ -70,10 +66,10 @@ class AdviseJob:
             "method",
             self.method,
             choices=("exact", "montecarlo", "auto"),
-            error_cls=JobError,
+            error_cls=JobSpecError,
         )
         if self.samples <= 0:
-            raise JobError("samples must be positive")
+            raise JobSpecError("samples must be positive")
 
     @property
     def kind(self) -> str:
@@ -135,12 +131,15 @@ class MeasureJob:
             self, "position", (int(self.position[0]), str(self.position[1]))
         )
         check_method(
-            "method", self.method, choices=MEASURE_METHODS, error_cls=JobError
+            "method",
+            self.method,
+            choices=MEASURE_METHODS,
+            error_cls=JobSpecError,
         )
         if self.samples <= 0:
-            raise JobError("samples must be positive")
+            raise JobSpecError("samples must be positive")
         if not self.rows:
-            raise JobError("measure job needs at least one row")
+            raise JobSpecError("measure job needs at least one row")
 
     @property
     def kind(self) -> str:
@@ -195,9 +194,11 @@ class RPQJob:
         )
         for edge in self.edges:
             if len(edge) != 3:
-                raise JobError(f"edge must be (source, label, target): {edge!r}")
+                raise JobSpecError(
+                    f"edge must be (source, label, target): {edge!r}"
+                )
         if not self.query:
-            raise JobError("rpq job needs a query")
+            raise JobSpecError("rpq job needs a query")
 
     @property
     def kind(self) -> str:
@@ -231,8 +232,8 @@ def canonical_digest(payload: dict) -> str:
 
     The one digest rule of the runtime: sorted keys, compact separators,
     ``default=str``.  Job keys and the planner's
-    :meth:`repro.engine.problem.Problem.canonical_key` both go through
-    here, so the two cache key spaces follow identical serialization.
+    :meth:`repro.engine.problem.Problem.canonical_key` (the plan key)
+    both go through here, so the two follow identical serialization.
     """
     blob = json.dumps(
         payload, sort_keys=True, separators=(",", ":"), default=str
@@ -248,18 +249,20 @@ def job_key(job: Job) -> str:
 def job_from_dict(data: dict) -> Job:
     """Build a job from a decoded JSONL record (``kind`` selects the type)."""
     if not isinstance(data, dict):
-        raise JobError(f"job record must be an object, got {type(data).__name__}")
+        raise JobSpecError(
+            f"job record must be an object, got {type(data).__name__}"
+        )
     kind = data.get("kind")
     cls = _KINDS.get(kind)
     if cls is None:
-        raise JobError(
+        raise JobSpecError(
             f"unknown job kind {kind!r} (expected one of {sorted(_KINDS)})"
         )
     fields = {k: v for k, v in data.items() if k != "kind"}
     try:
         return cls(**fields)
     except TypeError as exc:
-        raise JobError(f"bad {kind} job: {exc}") from None
+        raise JobSpecError(f"bad {kind} job: {exc}") from None
 
 
 def _parse_line(lineno: int, line: str) -> Job:
@@ -303,14 +306,14 @@ def parse_jsonl_lenient(
     of ``job``/``error`` is set per triple.  A malformed line therefore
     costs one failed entry in the batch report, never the batch.
     """
-    records: List[Tuple[int, Optional[Job], Optional[_TaxonomyError]]] = []
+    records: List[Tuple[int, Optional[Job], Optional[JobError]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
             records.append((lineno, _parse_line(lineno, line), None))
-        except _TaxonomyError as exc:  # JobSpecError or an injected fault
+        except JobError as exc:  # JobSpecError or an injected fault
             if _strict:
                 raise
             records.append((lineno, None, exc))

@@ -13,7 +13,7 @@ Usage::
 
     METRICS.inc("chase.steps", steps)
     METRICS.inc("runner.errors", kind="parse")      # labeled counter
-    with METRICS.timer("job.advise"):
+    with METRICS.timer("job.advise"):   # the runner's job.<kind> timer
         ...
     METRICS.snapshot()
     # {"counters": {"chase.steps": 12, "runner.errors{kind=parse}": 1},

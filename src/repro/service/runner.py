@@ -172,14 +172,13 @@ class BatchRunner:
         raise TypeError(f"unsupported job: {job!r}")
 
     def _execute_advise(self, job: AdviseJob) -> dict:
-        with self.metrics.timer("job.advise"):
-            report = advise(
-                job.design,
-                measure_witness=job.measure,
-                method=job.method,
-                samples=job.samples,
-                seed=job.seed,
-            )
+        report = advise(
+            job.design,
+            measure_witness=job.measure,
+            method=job.method,
+            samples=job.samples,
+            seed=job.seed,
+        )
         return report_payload(report)
 
     def _measure_problem(self, job: MeasureJob) -> Problem:
@@ -192,20 +191,10 @@ class BatchRunner:
             seed=job.seed,
         )
 
-    def _job_budget(self, job: MeasureJob) -> Budget:
-        return Budget(
-            wall_seconds=self.budget.wall_seconds,
-            exact_max_positions=self.budget.exact_max_positions,
-            samples=job.samples,
-            seed=job.seed,
-        )
-
     def _plan_for(self, job: MeasureJob) -> Plan:
         """The planner's decision for *job* (pure and deterministic, so
         the scheduling-time plan and the execution-time plan agree)."""
-        return PLANNER.plan(
-            self._measure_problem(job), budget=self._job_budget(job)
-        )
+        return PLANNER.plan(self._measure_problem(job), budget=self.budget)
 
     def _shards_samples(self, job: Job) -> bool:
         """Whether *job*'s plan may run the Monte-Carlo engine (the
@@ -221,12 +210,9 @@ class BatchRunner:
 
     def _execute_measure(self, job: MeasureJob) -> dict:
         problem = self._measure_problem(job)
-        with self.metrics.timer("job.measure"):
-            result = PLANNER.plan_and_run(
-                problem,
-                budget=self._job_budget(job),
-                pool=self.shard_pool,
-            )
+        result = PLANNER.plan_and_run(
+            problem, budget=self.budget, pool=self.shard_pool
+        )
         payload = ric_payload(result.value)
         payload["method"] = result.engine
         payload["position"] = str(problem.position_obj())
@@ -234,19 +220,18 @@ class BatchRunner:
 
     def _execute_rpq(self, job: RPQJob) -> dict:
         graph = GraphDB.from_edges(job.edges)
-        with self.metrics.timer("job.rpq"):
-            if job.source is not None:
-                nodes = rpq_reachable(graph, job.query, job.source)
-                return {
-                    "source": job.source,
-                    "reachable": sorted(nodes, key=repr),
-                    "count": len(nodes),
-                }
-            pairs = rpq_eval(graph, job.query)
+        if job.source is not None:
+            nodes = rpq_reachable(graph, job.query, job.source)
             return {
-                "pairs": [list(pair) for pair in sorted(pairs, key=repr)],
-                "count": len(pairs),
+                "source": job.source,
+                "reachable": sorted(nodes, key=repr),
+                "count": len(nodes),
             }
+        pairs = rpq_eval(graph, job.query)
+        return {
+            "pairs": [list(pair) for pair in sorted(pairs, key=repr)],
+            "count": len(pairs),
+        }
 
     # ------------------------------------------------------------------
     # batch execution (cache + resume + fan-out)
@@ -368,7 +353,8 @@ class BatchRunner:
             while True:
                 try:
                     FAULTS.maybe_raise("job", token)
-                    value = self.execute(job)
+                    with self.metrics.timer(f"job.{job.kind}"):
+                        value = self.execute(job)
                     return value, None, perf_counter() - start
                 except Exception as exc:  # noqa: BLE001 — classified below
                     error = self._classify(exc)

@@ -1,4 +1,4 @@
-"""The planner: deterministic plans, budget fallback, the plan cache."""
+"""The planner: deterministic plans, budget fallback, execution."""
 
 from fractions import Fraction
 
@@ -10,7 +10,6 @@ from repro.dependencies import FD
 from repro.engine import PLANNER, Planner, Problem, plan_and_run
 from repro.relational import Relation, RelationSchema
 from repro.service.budget import Budget, BudgetExceeded
-from repro.service.cache import ResultCache
 from repro.service.errors import ValidationError
 from repro.service.metrics import METRICS
 from repro.service.trace import TRACER, tracing
@@ -31,8 +30,8 @@ def problem(n_rows=2, **kwargs):
 
 class TestPlanDeterminism:
     def test_plan_is_a_pure_function_of_problem_and_budget(self):
-        prob = problem(3)
-        budget = Budget(exact_max_positions=4, samples=60, seed=2)
+        prob = problem(3, samples=60, seed=2)
+        budget = Budget(exact_max_positions=4)
         assert PLANNER.plan(prob, budget) == PLANNER.plan(prob, budget)
         # A fresh planner instance agrees too: no hidden state.
         assert Planner().plan(prob, budget) == PLANNER.plan(prob, budget)
@@ -77,9 +76,7 @@ class TestFallbackChain:
     def test_exhausted_chain_raises_the_structured_error(self):
         # Same stage history the old degradation ladder produced.
         prob = problem(6, samples=2_000)
-        budget = Budget(
-            wall_seconds=0.05, exact_max_positions=4, samples=2_000
-        )
+        budget = Budget(wall_seconds=0.05, exact_max_positions=4)
         with pytest.raises(BudgetExceeded) as excinfo:
             PLANNER.plan_and_run(prob, budget=budget)
         assert excinfo.value.stages == [
@@ -99,7 +96,6 @@ class TestExecution:
         result = plan_and_run(problem(2))
         assert result.value == Fraction(7, 8)
         assert result.engine == "exact"
-        assert result.cached is False
 
     def test_pinned_montecarlo_runs_with_problem_parameters(self):
         result = plan_and_run(problem(2, method="montecarlo", samples=40))
@@ -111,56 +107,6 @@ class TestExecution:
             problem(2, method="quantum")
         assert excinfo.value.kind == "validation"
         assert excinfo.value.details["option"] == "method"
-
-
-class TestPlanCache:
-    def test_cache_hit_skips_engine_execution_entirely(self):
-        cache = ResultCache()
-        prob = problem(2)
-        METRICS.reset()
-        first = PLANNER.plan_and_run(prob, cache=cache)
-        assert first.cached is False
-
-        runs_after_first = METRICS.snapshot()["counters"].get(
-            "engine.runs{engine=exact}", 0
-        )
-        second = PLANNER.plan_and_run(prob, cache=cache)
-        counters = METRICS.snapshot()["counters"]
-        assert second.cached is True
-        assert second.value == first.value
-        assert second.engine == first.engine
-        assert counters.get("engine.runs{engine=exact}", 0) == runs_after_first
-        assert counters.get("planner.cache_hits") == 1
-
-    def test_cached_mc_estimate_round_trips_bit_identically(self):
-        cache = ResultCache()
-        prob = problem(2, method="montecarlo", samples=60, seed=3)
-        first = PLANNER.plan_and_run(prob, cache=cache)
-        second = PLANNER.plan_and_run(prob, cache=cache)
-        assert second.cached is True
-        assert second.value == first.value  # mean, stderr, samples all equal
-
-    def test_different_samples_never_share_a_cache_entry(self):
-        # The regression the canonical key exists to prevent.
-        cache = ResultCache()
-        coarse = PLANNER.plan_and_run(
-            problem(2, method="montecarlo", samples=40), cache=cache
-        )
-        fine = PLANNER.plan_and_run(
-            problem(2, method="montecarlo", samples=80), cache=cache
-        )
-        assert coarse.cached is False and fine.cached is False
-        assert coarse.value.samples == 40
-        assert fine.value.samples == 80
-
-    def test_exact_result_never_answers_a_sampled_request(self):
-        cache = ResultCache()
-        PLANNER.plan_and_run(problem(2, method="exact"), cache=cache)
-        sampled = PLANNER.plan_and_run(
-            problem(2, method="montecarlo", samples=40), cache=cache
-        )
-        assert sampled.cached is False
-        assert isinstance(sampled.value, MCEstimate)
 
 
 class TestInstrumentation:

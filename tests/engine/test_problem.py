@@ -72,16 +72,6 @@ class TestCanonicalKey:
             != problem(op="inf_k", method="symbolic", k=3).canonical_key()
         )
 
-    def test_instance_digest_is_shared_across_parameterizations(self):
-        # One digest per (schema, Σ, rows, position): every method and
-        # parameter variation over the same data agrees on it.
-        digests = {
-            problem(method="exact").instance_digest(),
-            problem(method="montecarlo", samples=50).instance_digest(),
-            problem(method="auto", seed=9).instance_digest(),
-        }
-        assert len(digests) == 1
-
 
 class TestConstruction:
     def test_from_design_and_from_instance_agree(self):

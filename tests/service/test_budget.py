@@ -23,9 +23,9 @@ def instance_with_rows(n_rows: int) -> PositionedInstance:
     )
 
 
-def problem(inst, p, budget, method="auto") -> Problem:
+def problem(inst, p, method="auto", samples=200, seed=0) -> Problem:
     return Problem.from_instance(
-        inst, p, method=method, samples=budget.samples, seed=budget.seed
+        inst, p, method=method, samples=samples, seed=seed
     )
 
 
@@ -38,15 +38,17 @@ class TestLadder:
         inst = instance_with_rows(2)
         p = inst.position("R", 0, "C")
         budget = Budget()
-        result = PLANNER.plan_and_run(problem(inst, p, budget), budget=budget)
+        result = PLANNER.plan_and_run(problem(inst, p), budget=budget)
         assert result.engine == "exact"
         assert result.value == Fraction(7, 8)
 
     def test_oversized_instance_degrades_to_montecarlo(self):
         inst = instance_with_rows(3)  # 9 positions > 4-position allowance
         p = inst.position("R", 0, "C")
-        budget = Budget(exact_max_positions=4, samples=60, seed=2)
-        result = PLANNER.plan_and_run(problem(inst, p, budget), budget=budget)
+        budget = Budget(exact_max_positions=4)
+        result = PLANNER.plan_and_run(
+            problem(inst, p, samples=60, seed=2), budget=budget
+        )
         assert result.engine == "montecarlo"
         assert isinstance(result.value, MCEstimate)
         assert result.value.samples == 60
@@ -54,9 +56,9 @@ class TestLadder:
     def test_pinned_method_skips_the_ladder(self):
         inst = instance_with_rows(2)
         p = inst.position("R", 0, "C")
-        budget = Budget(samples=40)
         result = PLANNER.plan_and_run(
-            problem(inst, p, budget, method="montecarlo"), budget=budget
+            problem(inst, p, method="montecarlo", samples=40),
+            budget=Budget(),
         )
         assert result.engine == "montecarlo"
         assert isinstance(result.value, MCEstimate)
@@ -64,9 +66,10 @@ class TestLadder:
     def test_degraded_estimate_is_deterministic(self):
         inst = instance_with_rows(3)
         p = inst.position("R", 0, "C")
-        budget = Budget(exact_max_positions=4, samples=50, seed=9)
-        first = PLANNER.plan_and_run(problem(inst, p, budget), budget=budget)
-        second = PLANNER.plan_and_run(problem(inst, p, budget), budget=budget)
+        prob = problem(inst, p, samples=50, seed=9)
+        budget = Budget(exact_max_positions=4)
+        first = PLANNER.plan_and_run(prob, budget=budget)
+        second = PLANNER.plan_and_run(prob, budget=budget)
         assert first.value == second.value
 
 
@@ -76,11 +79,11 @@ class TestTimeout:
         p = inst.position("R", 0, "C")
         # A sample count worth seconds of work under a 50 ms clock: the
         # Monte-Carlo stage cannot finish, so the ladder exhausts.
-        budget = Budget(
-            wall_seconds=0.05, exact_max_positions=4, samples=2_000
-        )
+        budget = Budget(wall_seconds=0.05, exact_max_positions=4)
         with pytest.raises(BudgetExceeded) as excinfo:
-            PLANNER.plan_and_run(problem(inst, p, budget), budget=budget)
+            PLANNER.plan_and_run(
+                problem(inst, p, samples=2_000), budget=budget
+            )
         err = excinfo.value
         assert ("exact", "skipped:size") in err.stages
         assert ("montecarlo", "timeout") in err.stages
@@ -93,14 +96,12 @@ class TestTimeout:
         inst = instance_with_rows(2)
         p = inst.position("R", 0, "C")
         budget = Budget(wall_seconds=None)
-        result = PLANNER.plan_and_run(problem(inst, p, budget), budget=budget)
+        result = PLANNER.plan_and_run(problem(inst, p), budget=budget)
         assert result.value == Fraction(7, 8)
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             Budget(wall_seconds=0)
-        with pytest.raises(ValueError):
-            Budget(samples=0)
 
 
 class TestCooperativeDeadline:
@@ -111,7 +112,7 @@ class TestCooperativeDeadline:
         inst, p = witness_instance("ABC", [], [MVD("A", "B")])
         budget = Budget(wall_seconds=0.5)
         with pytest.raises(BudgetExceeded) as excinfo:
-            PLANNER.plan_and_run(problem(inst, p, budget), budget=budget)
+            PLANNER.plan_and_run(problem(inst, p), budget=budget)
         err = excinfo.value
         assert err.stages == [("exact", "timeout"), ("montecarlo", "timeout")]
         assert err.elapsed < 0.5 + 0.5
@@ -122,21 +123,19 @@ class TestCooperativeDeadline:
         p = inst.position("R", 0, "C")
         pool = WorkerPool(workers=2, use_processes=True)
         try:
-            slow = Budget(wall_seconds=0.05, samples=2_000)
             with pytest.raises(BudgetExceeded) as excinfo:
                 PLANNER.plan_and_run(
-                    problem(inst, p, slow, method="montecarlo"),
-                    budget=slow,
+                    problem(inst, p, method="montecarlo", samples=2_000),
+                    budget=Budget(wall_seconds=0.05),
                     pool=pool,
                 )
             assert excinfo.value.stages == [("montecarlo", "timeout")]
             assert live_budget_threads() == 0
 
-            quick = Budget(samples=20)
             started = perf_counter()
             result = PLANNER.plan_and_run(
-                problem(inst, p, quick, method="montecarlo"),
-                budget=quick,
+                problem(inst, p, method="montecarlo", samples=20),
+                budget=Budget(),
                 pool=pool,
             )
             assert perf_counter() - started < 1.0

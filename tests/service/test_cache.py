@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.montecarlo import MCEstimate
 from repro.service.cache import ResultCache
+from repro.service.runner import ric_payload
 
 
 class TestLRU:
@@ -51,12 +53,19 @@ class TestPersistence:
         cache = ResultCache(maxsize=8)
         cache.put("k1", {"value": 0.875})
         cache.put("k2", {"pairs": [["a", "b"]]})
+        estimate = MCEstimate(mean=0.1 + 0.2, stderr=1 / 3, samples=60)
+        cache.put("k3", ric_payload(estimate))
         cache.save(path)
 
         loaded = ResultCache.load(path)
         assert loaded.maxsize == 8
         assert loaded.get("k1") == {"value": 0.875}
         assert loaded.get("k2") == {"pairs": [["a", "b"]]}
+        mc = loaded.get("k3")
+        assert mc == ric_payload(estimate)
+        # Bit-identical floats, not merely close ones.
+        assert mc["mean"].hex() == estimate.mean.hex()
+        assert mc["stderr"].hex() == estimate.stderr.hex()
 
     def test_load_preserves_recency_order(self, tmp_path):
         path = str(tmp_path / "cache.json")

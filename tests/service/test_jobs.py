@@ -4,7 +4,7 @@ import pytest
 
 from repro.service.jobs import (
     AdviseJob,
-    JobError,
+    JobSpecError,
     MeasureJob,
     RPQJob,
     job_from_dict,
@@ -55,6 +55,14 @@ class TestCanonicalKeys:
         assert job_key(MeasureJob(samples=100, **base)) != job_key(
             MeasureJob(samples=200, **base)
         )
+        # An exact result never answers a sampled request, or vice versa.
+        assert job_key(MeasureJob(**base)) != job_key(
+            MeasureJob(**{**base, "method": "exact"})
+        )
+        design = "R(A,B,C); B->C"
+        assert job_key(AdviseJob(design=design, method="exact")) != job_key(
+            AdviseJob(design=design, method="auto")
+        )
 
     def test_exact_ignores_mc_parameters(self):
         base = dict(design="R(A,B); A->B", rows=((1, 2),), position=(0, "B"))
@@ -70,19 +78,19 @@ class TestCanonicalKeys:
 
 class TestValidation:
     def test_unknown_kind(self):
-        with pytest.raises(JobError, match="unknown job kind"):
+        with pytest.raises(JobSpecError, match="unknown job kind"):
             job_from_dict({"kind": "frobnicate"})
 
     def test_unknown_field(self):
-        with pytest.raises(JobError, match="bad advise job"):
+        with pytest.raises(JobSpecError, match="bad advise job"):
             job_from_dict({"kind": "advise", "design": "R(A,B)", "nope": 1})
 
     def test_bad_method(self):
-        with pytest.raises(JobError, match="method"):
+        with pytest.raises(JobSpecError, match="method"):
             AdviseJob(design="R(A,B); A->B", method="guess")
 
     def test_bad_samples(self):
-        with pytest.raises(JobError, match="samples"):
+        with pytest.raises(JobSpecError, match="samples"):
             MeasureJob(
                 design="R(A,B); A->B",
                 rows=((1, 2),),
@@ -91,7 +99,7 @@ class TestValidation:
             )
 
     def test_bad_edge_shape(self):
-        with pytest.raises(JobError, match="edge"):
+        with pytest.raises(JobSpecError, match="edge"):
             RPQJob(edges=(("a", "b"),), query="l")
 
 
@@ -123,5 +131,5 @@ class TestJsonl:
         assert job_from_dict(job.to_dict()) == job
 
     def test_line_numbers_in_errors(self):
-        with pytest.raises(JobError, match="line 2"):
+        with pytest.raises(JobSpecError, match="line 2"):
             parse_jsonl('{"kind": "rpq", "edges": [], "query": "l"}\n{bad')

@@ -81,6 +81,10 @@ class TestBatchRunner:
             {**entry, "seconds": 0.0, "cached": True}
             for entry in first["results"]
         ]
+        # The hits ran no job: each kind was executed once, by `first`.
+        timers = runner.metrics.snapshot()["timers"]
+        assert timers["job.advise"]["count"] == 1
+        assert timers["job.measure"]["count"] == 1
 
     def test_job_errors_do_not_kill_the_batch(self):
         runner = BatchRunner(pool=WorkerPool(workers=2), metrics=Metrics())
