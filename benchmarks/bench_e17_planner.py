@@ -33,7 +33,7 @@ def instance_with_rows(n_rows: int) -> PositionedInstance:
 
 def problem_for(n_rows: int, **kwargs) -> Problem:
     inst = instance_with_rows(n_rows)
-    return Problem.from_instance(inst, inst.position("R", 0, "C"), **kwargs)
+    return Problem(inst, inst.position("R", 0, "C"), **kwargs)
 
 
 def test_e17_planner_overhead(benchmark):
@@ -47,7 +47,7 @@ def test_e17_planner_overhead(benchmark):
             prob = problem_for(
                 n_rows, method="montecarlo", samples=samples
             )
-            inst, p = prob.resolved_instance(), prob.position_obj()
+            inst, p = prob.instance, prob.position
 
             start = time.perf_counter()
             for _ in range(plan_iterations):

@@ -45,7 +45,7 @@ def instance_with_rows(n_rows: int) -> PositionedInstance:
 
 def problem_for(n_rows: int, **kwargs) -> Problem:
     inst = instance_with_rows(n_rows)
-    return Problem.from_instance(inst, inst.position("R", 0, "C"), **kwargs)
+    return Problem(inst, inst.position("R", 0, "C"), **kwargs)
 
 
 def _time_kernel(fn, rounds: int = 5) -> list:
@@ -64,7 +64,7 @@ def test_e18_regression_gate(benchmark):
     # fraction of the median, so the MAD guard cannot swallow a genuine
     # 30% shift.
     prob = problem_for(3, method="montecarlo", samples=300)
-    inst, p = prob.resolved_instance(), prob.position_obj()
+    inst, p = prob.instance, prob.position
 
     def kernel():
         ric_montecarlo(inst, p, samples=300, seed=0)
@@ -190,7 +190,7 @@ def test_e18_calibration(benchmark):
 def test_e18_profiler_overhead(benchmark):
     """The default-rate sampler must add <5% to a busy Monte-Carlo run."""
     prob = problem_for(4, method="montecarlo", samples=800)
-    inst, p = prob.resolved_instance(), prob.position_obj()
+    inst, p = prob.instance, prob.position
 
     def kernel():
         ric_montecarlo(inst, p, samples=800, seed=0)

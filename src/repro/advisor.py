@@ -151,7 +151,7 @@ def advise(
         witness = witness_instance(universe, fds, mvds)
         if witness is not None:
             inst, pos = witness
-            problem = Problem.from_instance(
+            problem = Problem(
                 inst, pos, method=method, samples=samples, seed=seed
             )
             result = plan_and_run(problem)

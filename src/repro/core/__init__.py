@@ -34,6 +34,10 @@ Engines
   polynomial-in-``k`` counts and the exact rational limit.
 - :func:`repro.core.montecarlo.ric_montecarlo` — sampled ``X`` with exact
   per-``X`` limits; scales to larger instances.
+
+:func:`ric`, :func:`ric_profile` and :func:`inf_k` always run the exact
+engine for their quantity.  Choosing an engine by method name, with
+fallbacks under a budget, is the planner's job (:mod:`repro.engine`).
 """
 
 from repro.core.positions import Position, PositionedInstance

@@ -58,7 +58,7 @@ class GainReport:
 
 
 def _profile_stats(instance: PositionedInstance):
-    profile = ric_profile(instance, method="exact")
+    profile = ric_profile(instance)
     values = list(profile.values())
     total = sum(values, Fraction(0))
     return min(values), total / len(values)
@@ -83,7 +83,7 @@ def normalization_gain(
         frag_instance = PositionedInstance.from_relation(
             decomposed[frag.name], list(frag.fds) + list(frag.mvds)
         )
-        after_values.extend(ric_profile(frag_instance, method="exact").values())
+        after_values.extend(ric_profile(frag_instance).values())
 
     after_min = min(after_values)
     after_avg = sum(after_values, Fraction(0)) / len(after_values)

@@ -1,64 +1,34 @@
-"""The public measure API (façade over the engines)."""
+"""The public measure API: the exact engines, one call per quantity.
+
+Engine choice (Monte Carlo, brute force, budgets) belongs to the
+planner in :mod:`repro.engine`; these functions always run the exact
+engine for their quantity.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Union
+from typing import Dict
 
-from repro.core.bruteforce import inf_k_bruteforce
-from repro.core.montecarlo import MCEstimate, ric_montecarlo
 from repro.core.positions import Position, PositionedInstance
 from repro.core.symbolic import inf_k_symbolic, ric_exact
 
 
-def inf_k(
-    instance: PositionedInstance,
-    p: Position,
-    k: int,
-    method: str = "symbolic",
-) -> float:
-    """``INF_I^k(p | Σ)`` in bits.
+def inf_k(instance: PositionedInstance, p: Position, k: int) -> float:
+    """``INF_I^k(p | Σ)`` in bits, exact by symbolic pattern counting."""
+    return inf_k_symbolic(instance, p, k)
 
-    *method*: ``"symbolic"`` (exact, pattern counting) or ``"bruteforce"``
-    (exact, literal enumeration; tiny instances only).
+
+def ric(instance: PositionedInstance, p: Position) -> Fraction:
+    """The relative information content ``RIC_I(p | Σ) ∈ [0, 1]``, as an
+    exact :class:`~fractions.Fraction` (sweeps all revealed sets).
+
+    For instances too wide for the exact sweep, use
+    :func:`~repro.core.montecarlo.ric_montecarlo` or the planner.
     """
-    if method == "symbolic":
-        return inf_k_symbolic(instance, p, k)
-    if method == "bruteforce":
-        return inf_k_bruteforce(instance, p, k)
-    raise ValueError(f"unknown method {method!r}")
+    return ric_exact(instance, p)
 
 
-def ric(
-    instance: PositionedInstance,
-    p: Position,
-    method: str = "exact",
-    samples: int = 200,
-    seed: int = 0,
-) -> Union[Fraction, MCEstimate]:
-    """The relative information content ``RIC_I(p | Σ) ∈ [0, 1]``.
-
-    *method*: ``"exact"`` returns a :class:`~fractions.Fraction` (sweeps
-    all revealed sets); ``"montecarlo"`` returns an
-    :class:`~repro.core.montecarlo.MCEstimate` and scales to instances the
-    exact sweep cannot handle.  The Monte-Carlo path is deterministic in
-    ``(samples, seed)`` (see :func:`~repro.core.montecarlo.ric_montecarlo`).
-    """
-    if method == "exact":
-        return ric_exact(instance, p)
-    if method == "montecarlo":
-        return ric_montecarlo(instance, p, samples=samples, seed=seed)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def ric_profile(
-    instance: PositionedInstance,
-    method: str = "exact",
-    samples: int = 200,
-    seed: int = 0,
-) -> Dict[Position, Union[Fraction, MCEstimate]]:
-    """``RIC`` for every position of the instance."""
-    return {
-        p: ric(instance, p, method=method, samples=samples, seed=seed)
-        for p in instance.positions
-    }
+def ric_profile(instance: PositionedInstance) -> Dict[Position, Fraction]:
+    """Exact ``RIC`` for every position of the instance."""
+    return {p: ric(instance, p) for p in instance.positions}

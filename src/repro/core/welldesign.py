@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
 
-from repro.core.measure import ric, ric_profile
+from repro.core.measure import ric_profile
 from repro.core.positions import Position, PositionedInstance
 from repro.dependencies.fd import FD
 from repro.dependencies.mvd import MVD
@@ -118,15 +118,12 @@ def witness_instance(
     return None
 
 
-def redundant_positions(
-    instance: PositionedInstance, method: str = "exact"
-) -> List[Position]:
+def redundant_positions(instance: PositionedInstance) -> List[Position]:
     """Positions whose ``RIC`` falls strictly below 1."""
-    profile = ric_profile(instance, method=method)
+    profile = ric_profile(instance)
     return [p for p, value in profile.items() if float(value) < 1.0]
 
 
-def min_ric(instance: PositionedInstance, method: str = "exact"):
-    """The smallest ``RIC`` over all positions (Fraction for exact mode)."""
-    profile = ric_profile(instance, method=method)
-    return min(profile.values(), key=float)
+def min_ric(instance: PositionedInstance) -> Fraction:
+    """The smallest ``RIC`` over all positions."""
+    return min(ric_profile(instance).values(), key=float)

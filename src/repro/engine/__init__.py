@@ -12,17 +12,17 @@ render the :class:`~repro.engine.planner.Plan`:
 >>> schema = RelationSchema("R", ("A", "B", "C"))
 >>> inst = PositionedInstance.from_relation(
 ...     Relation(schema, [(1, 2, 3), (4, 2, 3)]), [FD("B", "C")])
->>> problem = Problem.from_instance(inst, inst.position("R", 0, "C"))
+>>> problem = Problem(inst, inst.position("R", 0, "C"))
 >>> result = plan_and_run(problem)
 >>> str(result.value), result.engine
 ('7/8', 'exact')
 
 Modules:
 
-- :mod:`repro.engine.problem` — the canonical, hashable problem IR and
-  its content address (:meth:`Problem.canonical_key`);
+- :mod:`repro.engine.problem` — the problem record (live instance,
+  target position, operation, method and engine parameters);
 - :mod:`repro.engine.cost` — the cost model (world counts / sweep sizes
-  per engine, pure functions of the IR);
+  per engine, pure functions of the problem's shape);
 - :mod:`repro.engine.engines` — the engine registry wrapping the core
   code paths (``exact``, ``montecarlo``, ``symbolic``, ``bruteforce``);
 - :mod:`repro.engine.planner` — the planner/executor with budget

@@ -1,11 +1,11 @@
-"""The cost model: per-engine work estimates from the problem IR alone.
+"""The cost model: per-engine work estimates from the problem's shape alone.
 
 Every engine's dominant cost is a product of an **outer loop** (revealed
 sets swept or sampled) and a **per-world** term (pattern search or
-completion enumeration).  Both are pure functions of the IR shape —
-position count, dependency count, ``samples``, ``k`` — so cost
-estimation never touches the instance, never runs an engine, and is
-deterministic by construction.  The units are abstract "world visits",
+completion enumeration).  Both are pure functions of the problem's
+shape — position count, dependency count, ``samples``, ``k`` — so cost
+estimation never looks at the instance's values, never runs an engine,
+and is deterministic by construction.  The units are abstract "world visits",
 comparable *between* engines on the same problem; the planner only ever
 compares estimates, it never interprets them as seconds.
 
@@ -105,7 +105,8 @@ def load_calibration(path: str) -> Dict[str, float]:
 
 
 class CostModel:
-    """Estimates engine cost from the IR (see the module docstring).
+    """Estimates engine cost from the problem's shape (see the module
+    docstring).
 
     *calibration* maps engine names to observed seconds-per-unit
     constants (see :func:`load_calibration`); when present, estimates

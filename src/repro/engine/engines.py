@@ -68,8 +68,7 @@ class ExactEngine(Engine):
     def run(self, problem: Problem, pool=None, deadline=None):
         from repro.core.symbolic import ric_exact
 
-        instance, p = problem.resolved_instance(), problem.position_obj()
-        return ric_exact(instance, p, deadline=deadline)
+        return ric_exact(problem.instance, problem.position, deadline=deadline)
 
 
 class MonteCarloEngine(Engine):
@@ -85,8 +84,8 @@ class MonteCarloEngine(Engine):
 
         estimate = ric_montecarlo if pool is None else pool.ric_montecarlo
         return estimate(
-            problem.resolved_instance(),
-            problem.position_obj(),
+            problem.instance,
+            problem.position,
             samples=problem.samples,
             seed=problem.seed,
             deadline=deadline,
@@ -103,8 +102,9 @@ class SymbolicKEngine(Engine):
     def run(self, problem: Problem, pool=None, deadline=None):
         from repro.core.symbolic import inf_k_symbolic
 
-        instance, p = problem.resolved_instance(), problem.position_obj()
-        return inf_k_symbolic(instance, p, problem.k, deadline=deadline)
+        return inf_k_symbolic(
+            problem.instance, problem.position, problem.k, deadline=deadline
+        )
 
 
 class BruteForceEngine(Engine):
@@ -118,8 +118,9 @@ class BruteForceEngine(Engine):
     def run(self, problem: Problem, pool=None, deadline=None):
         from repro.core.bruteforce import inf_k_bruteforce
 
-        instance, p = problem.resolved_instance(), problem.position_obj()
-        return inf_k_bruteforce(instance, p, problem.k, deadline=deadline)
+        return inf_k_bruteforce(
+            problem.instance, problem.position, problem.k, deadline=deadline
+        )
 
 
 #: The live registry: name -> engine instance.

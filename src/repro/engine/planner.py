@@ -2,7 +2,7 @@
 instrumentation live.
 
 ``plan(problem, budget)`` is a **deterministic pure function** of the
-problem IR and the budget limits: it costs every candidate engine
+problem's shape and the budget limits: it costs every candidate engine
 through the :class:`~repro.engine.cost.CostModel`, pins the requested
 method (or walks the operation's preference ladder for ``"auto"``), and
 emits an explainable :class:`Plan` — the chosen engine, every estimate,
@@ -17,7 +17,9 @@ exhausted the structured
 :class:`~repro.service.budget.BudgetExceeded` carries the full stage
 history — byte-compatible with the pre-planner behavior.
 
-``plan_and_run`` is the two in sequence.  The planner caches nothing:
+``plan_and_run`` is the two in sequence; a caller that needs the plan
+before running it (the batch runner schedules on it) calls ``plan`` once
+and hands the same plan to ``execute``.  The planner caches nothing:
 results are cached one layer up, by the batch runner's
 :class:`~repro.service.cache.ResultCache` keyed on
 :func:`~repro.service.jobs.job_key`.
@@ -57,19 +59,11 @@ class PlanStep:
     action: str  # "run" | "skip:size"
     estimate: CostEstimate
 
-    def to_dict(self) -> dict:
-        return {
-            "engine": self.engine,
-            "action": self.action,
-            "estimate": self.estimate.to_dict(),
-        }
-
 
 @dataclass(frozen=True)
 class Plan:
     """An explainable engine-selection decision for one problem."""
 
-    key: str
     op: str
     method: str
     chosen: Optional[str]
@@ -96,21 +90,10 @@ class Plan:
             for step in self.steps
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "op": self.op,
-            "method": self.method,
-            "chosen": self.chosen,
-            "fallbacks": list(self.fallbacks),
-            "wall_seconds": self.wall_seconds,
-            "steps": [step.to_dict() for step in self.steps],
-        }
-
     def explain(self) -> str:
         """A human-readable rendering (the ``--explain-plan`` output)."""
         lines = [
-            f"plan {self.key[:16]}… op={self.op} method={self.method} "
+            f"plan op={self.op} method={self.method} "
             f"wall_seconds={self.wall_seconds}"
         ]
         for index, step in enumerate(self.steps, start=1):
@@ -183,11 +166,8 @@ class Planner:
         an identical plan — no clocks, no randomness, no engine runs.
         """
         budget = budget or Budget()
-        key = problem.canonical_key()
         steps = []
-        with TRACER.span(
-            "plan", key=key[:16], op=problem.op, method=problem.method
-        ):
+        with TRACER.span("plan", op=problem.op, method=problem.method):
             for name in self.ladder(problem):
                 engine = get_engine(name)
                 with TRACER.span("cost_estimate", engine=name):
@@ -208,7 +188,6 @@ class Planner:
         )
         METRICS.inc("planner.plans")
         return Plan(
-            key=key,
             op=problem.op,
             method=problem.method,
             chosen=chosen,
@@ -262,7 +241,6 @@ class Planner:
                     "engine_run",
                     engine=step.engine,
                     op=problem.op,
-                    key=plan.key[:16],
                     units=step.estimate.units,
                 ) as span:
                     if step.estimate.seconds is not None:

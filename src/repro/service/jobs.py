@@ -227,23 +227,14 @@ Job = Any  # AdviseJob | MeasureJob | RPQJob (3.10-friendly alias)
 _KINDS = {"advise": AdviseJob, "measure": MeasureJob, "rpq": RPQJob}
 
 
-def canonical_digest(payload: dict) -> str:
-    """SHA-256 over a canonical JSON rendering of *payload*.
-
-    The one digest rule of the runtime: sorted keys, compact separators,
-    ``default=str``.  Job keys and the planner's
-    :meth:`repro.engine.problem.Problem.canonical_key` (the plan key)
-    both go through here, so the two follow identical serialization.
-    """
+def job_key(job: Job) -> str:
+    """The content address of *job*: SHA-256 over a canonical JSON
+    rendering (sorted keys, compact separators, ``default=str``) of its
+    canonical payload."""
     blob = json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), default=str
+        job.canonical(), sort_keys=True, separators=(",", ":"), default=str
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def job_key(job: Job) -> str:
-    """The content address of *job*: SHA-256 of its canonical payload."""
-    return canonical_digest(job.canonical())
 
 
 def job_from_dict(data: dict) -> Job:

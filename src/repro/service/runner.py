@@ -10,9 +10,11 @@ content-addressed cache for each, and executes the misses:
 - every other job fans out to the pool as an independent future (the
   inter-job axis).
 
-Which engines may run is the planner's decision — the runner only asks
-``plan.uses("montecarlo")``; it holds no engine-selection logic of its
-own.
+Each measure miss gets its :class:`~repro.engine.problem.Problem` and
+plan once, when it is scheduled; execution hands that same plan to
+``PLANNER.execute``.  Which engines may run is the planner's decision —
+the runner only asks ``plan.uses("montecarlo")``; it holds no
+engine-selection logic of its own.
 
 Keeping the two axes on disjoint scheduling paths makes the design
 deadlock-free: a sharded job never waits on pool slots held by other
@@ -48,7 +50,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.advisor import DesignReport, advise
 from repro.core.montecarlo import MCEstimate
-from repro.engine import PLANNER, Plan, Problem
+from repro.engine import PLANNER, Problem
 from repro.graph.graphdb import GraphDB
 from repro.graph.rpq import rpq_eval, rpq_reachable
 from repro.relational.attributes import fmt_attrs
@@ -166,7 +168,7 @@ class BatchRunner:
         if isinstance(job, AdviseJob):
             return self._execute_advise(job)
         if isinstance(job, MeasureJob):
-            return self._execute_measure(job)
+            return self._execute_measure(self._plan(job))
         if isinstance(job, RPQJob):
             return self._execute_rpq(job)
         raise TypeError(f"unsupported job: {job!r}")
@@ -181,41 +183,36 @@ class BatchRunner:
         )
         return report_payload(report)
 
-    def _measure_problem(self, job: MeasureJob) -> Problem:
-        return Problem.from_design(
-            job.design,
-            job.rows,
-            job.position,
-            method=job.method,
-            samples=job.samples,
-            seed=job.seed,
-        )
-
-    def _plan_for(self, job: MeasureJob) -> Plan:
-        """The planner's decision for *job* (pure and deterministic, so
-        the scheduling-time plan and the execution-time plan agree)."""
-        return PLANNER.plan(self._measure_problem(job), budget=self.budget)
-
-    def _shards_samples(self, job: Job) -> bool:
-        """Whether *job*'s plan may run the Monte-Carlo engine (the
-        sample range then shards across the pool instead of the job
-        fanning out as one future)."""
+    def _plan(self, job: Job):
+        """A measure *job*'s ``(problem, plan)``, or the exception that
+        building them raised — kept, so that :meth:`_execute_measure`
+        raises it inside the job's own span.  ``None`` for other kinds.
+        """
         if not isinstance(job, MeasureJob):
-            return False
+            return None
         try:
-            return self._plan_for(job).uses("montecarlo")
-        except Exception:  # noqa: BLE001 — scheduling guess only; the
-            # execution path re-raises and classifies the real error.
-            return False
+            problem = Problem.from_design(
+                job.design,
+                job.rows,
+                job.position,
+                method=job.method,
+                samples=job.samples,
+                seed=job.seed,
+            )
+            return problem, PLANNER.plan(problem, budget=self.budget)
+        except Exception as exc:  # noqa: BLE001 — re-raised at execution
+            return exc
 
-    def _execute_measure(self, job: MeasureJob) -> dict:
-        problem = self._measure_problem(job)
-        result = PLANNER.plan_and_run(
-            problem, budget=self.budget, pool=self.shard_pool
+    def _execute_measure(self, planned) -> dict:
+        if isinstance(planned, Exception):
+            raise planned
+        problem, plan = planned
+        value, engine = PLANNER.execute(
+            problem, plan, budget=self.budget, pool=self.shard_pool
         )
-        payload = ric_payload(result.value)
-        payload["method"] = result.engine
-        payload["position"] = str(problem.position_obj())
+        payload = ric_payload(value)
+        payload["method"] = engine
+        payload["position"] = str(problem.position)
         return payload
 
     def _execute_rpq(self, job: RPQJob) -> dict:
@@ -273,8 +270,8 @@ class BatchRunner:
         batch_start = perf_counter()
         resume_map = resume_map or {}
         results: List[Optional[dict]] = [None] * len(jobs)
-        sharded: List[Tuple[int, Job, str]] = []
-        fanout: List[Tuple[int, Job, str]] = []
+        sharded: List[Tuple[int, Job, str, Any]] = []
+        fanout: List[Tuple[int, Job, str, Any]] = []
         resumed = 0
 
         for index, job in enumerate(jobs):
@@ -296,18 +293,26 @@ class BatchRunner:
                 results[index] = entry
                 self.metrics.inc("runner.checkpoint_hits")
                 resumed += 1
-            elif self._shards_samples(job):
-                sharded.append((index, job, key))
             else:
-                fanout.append((index, job, key))
+                planned = self._plan(job)
+                # A plan that may run Monte Carlo shards its sample range
+                # across the pool instead of fanning out as one future.
+                shards = isinstance(planned, tuple) and planned[1].uses(
+                    "montecarlo"
+                )
+                (sharded if shards else fanout).append(
+                    (index, job, key, planned)
+                )
 
+        submit = self.pool.executor.submit
         futures = [
-            (index, job, key, self.pool.executor.submit(self._timed, job, key))
-            for index, job, key in fanout
+            (index, job, key, submit(self._run_timed, job, key, planned))
+            for index, job, key, planned in fanout
         ]
-        for index, job, key in sharded:
+        for index, job, key, planned in sharded:
+            outcome = self._run_timed(job, key, planned)
             results[index] = self._complete(
-                job, key, *self._run_timed(job, key), checkpoint=checkpoint
+                job, key, *outcome, checkpoint=checkpoint
             )
         for index, job, key, future in futures:
             results[index] = self._complete(
@@ -333,11 +338,11 @@ class BatchRunner:
             report["resumed"] = resumed
         return report
 
-    def _timed(self, job: Job, token: str):
-        return self._run_timed(job, token)
-
-    def _run_timed(self, job: Job, token: str):
+    def _run_timed(self, job: Job, token: str, planned=None):
         """Execute one job, capturing ``(value|None, error|None, seconds)``.
+
+        *planned* is a measure job's scheduling-time :meth:`_plan`
+        result, which execution reuses instead of planning again.
 
         Failures are classified through the error taxonomy; transient
         kinds re-execute under the retry policy with a deterministic
@@ -354,10 +359,14 @@ class BatchRunner:
                 try:
                     FAULTS.maybe_raise("job", token)
                     with self.metrics.timer(f"job.{job.kind}"):
-                        value = self.execute(job)
+                        value = (
+                            self.execute(job)
+                            if planned is None
+                            else self._execute_measure(planned)
+                        )
                     return value, None, perf_counter() - start
                 except Exception as exc:  # noqa: BLE001 — classified below
-                    error = self._classify(exc)
+                    error = from_exception(exc)
                     if (
                         self.retry.is_retryable(error.kind)
                         and attempt + 1 < self.retry.max_attempts
@@ -372,10 +381,6 @@ class BatchRunner:
                     self.metrics.inc("runner.errors", kind=error.kind)
                     span.set(failed=error.kind)
                     return None, error.to_dict(), perf_counter() - start
-
-    @staticmethod
-    def _classify(exc: BaseException) -> JobError:
-        return from_exception(exc)
 
     def _complete(
         self,

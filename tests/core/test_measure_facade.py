@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.bruteforce import inf_k_bruteforce
-from repro.core.measure import inf_k, ric, ric_profile
+from repro.core.measure import ric_profile
+from repro.core.montecarlo import ric_montecarlo
 from repro.core.positions import PositionedInstance
 from repro.core.symbolic import inf_k_symbolic, ric_exact
 from repro.dependencies.fd import FD
@@ -18,16 +19,6 @@ def tiny():
 
 
 class TestFacade:
-    def test_unknown_ric_method(self):
-        inst = tiny()
-        with pytest.raises(ValueError, match="unknown method"):
-            ric(inst, inst.positions[0], method="magic")
-
-    def test_unknown_inf_k_method(self):
-        inst = tiny()
-        with pytest.raises(ValueError, match="unknown method"):
-            inf_k(inst, inst.positions[0], 4, method="magic")
-
     def test_profile_covers_all_positions(self):
         inst = tiny()
         profile = ric_profile(inst)
@@ -35,7 +26,9 @@ class TestFacade:
 
     def test_profile_montecarlo_mode(self):
         inst = tiny()
-        profile = ric_profile(inst, method="montecarlo", samples=10)
+        profile = {
+            p: ric_montecarlo(inst, p, samples=10) for p in inst.positions
+        }
         assert all(float(v) == 1.0 for v in profile.values())
 
 

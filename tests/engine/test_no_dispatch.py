@@ -22,6 +22,12 @@ THIN_CALLERS = [
     SRC / "service" / "runner.py",
 ]
 
+#: Method-literal dispatch, which belongs in repro/engine/ only.
+METHOD_DISPATCH = [
+    r"""method\s*==\s*["'](exact|montecarlo|symbolic|bruteforce)["']""",
+    r"""\.method\s+in\s*\(""",
+]
+
 #: Direct engine entry points and method-literal dispatch, none of which
 #: belong outside repro/engine/ and repro/core/.
 FORBIDDEN = [
@@ -32,9 +38,7 @@ FORBIDDEN = [
     r"from\s+repro\.core\.measure\s+import",
     r"from\s+repro\.core\.symbolic\s+import",
     r"from\s+repro\.core\.bruteforce\s+import",
-    r"""method\s*==\s*["'](exact|montecarlo|symbolic|bruteforce)["']""",
-    r"""\.method\s+in\s*\(""",
-]
+] + METHOD_DISPATCH
 
 
 def strip_comments_and_docstrings(text: str) -> str:
@@ -63,3 +67,16 @@ def test_callers_import_the_planner_not_the_engines():
     for path in (SRC / "advisor.py", SRC / "service" / "runner.py"):
         code = path.read_text(encoding="utf-8")
         assert "from repro.engine import" in code, path
+
+
+def test_only_the_engine_package_dispatches_on_method_names():
+    # One method dispatcher: the planner.  No other module, the core
+    # measure API included, branches on method strings.
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.relative_to(SRC).parts[0] == "engine":
+            continue
+        code = strip_comments_and_docstrings(path.read_text(encoding="utf-8"))
+        if any(re.search(pattern, code) for pattern in METHOD_DISPATCH):
+            offenders.append(str(path.relative_to(SRC)))
+    assert not offenders, f"method dispatch outside repro.engine: {offenders}"

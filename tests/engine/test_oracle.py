@@ -51,7 +51,7 @@ class TestCrossEngine:
         inst = build(attrs, deps, rows)
         p = inst.position("R", 0, attr)
         symbolic = plan_and_run(
-            Problem.from_instance(inst, p, op="inf_k", method="symbolic", k=k)
+            Problem(inst, p, op="inf_k", method="symbolic", k=k)
         )
         assert symbolic.engine == "symbolic"
         assert symbolic.value == pytest.approx(
@@ -64,9 +64,7 @@ class TestCrossEngine:
         inst = build(attrs, deps, rows)
         p = inst.position("R", 0, attr)
         result = plan_and_run(
-            Problem.from_instance(
-                inst, p, op="inf_k", method="bruteforce", k=3
-            )
+            Problem(inst, p, op="inf_k", method="bruteforce", k=3)
         )
         assert result.engine == "bruteforce"
         assert result.value == inf_k_bruteforce(inst, p, 3)
@@ -76,7 +74,7 @@ class TestCrossEngine:
     ):
         inst = build(attrs, deps, rows)
         p = inst.position("R", 0, attr)
-        result = plan_and_run(Problem.from_instance(inst, p, method="exact"))
+        result = plan_and_run(Problem(inst, p, method="exact"))
         assert result.value == ric_exact(inst, p)
 
 
@@ -87,7 +85,7 @@ class TestMonteCarloBitIdentity:
         for samples, seed in [(50, 0), (80, 7), (128, 42)]:
             direct = ric_montecarlo(inst, p, samples=samples, seed=seed)
             planned = plan_and_run(
-                Problem.from_instance(
+                Problem(
                     inst, p, method="montecarlo", samples=samples, seed=seed
                 )
             )
@@ -98,9 +96,7 @@ class TestMonteCarloBitIdentity:
         # makes the merged estimate independent of the chunking.
         inst = build(("A", "B", "C"), [FD("B", "C")], [(1, 2, 3), (4, 2, 3)])
         p = inst.position("R", 0, "C")
-        prob = Problem.from_instance(
-            inst, p, method="montecarlo", samples=80, seed=7
-        )
+        prob = Problem(inst, p, method="montecarlo", samples=80, seed=7)
         pool = WorkerPool(workers=3)
         try:
             sharded = plan_and_run(prob, pool=pool)

@@ -25,7 +25,7 @@ def instance_with_rows(n_rows: int) -> PositionedInstance:
 
 def problem(n_rows=2, **kwargs):
     inst = instance_with_rows(n_rows)
-    return Problem.from_instance(inst, inst.position("R", 0, "C"), **kwargs)
+    return Problem(inst, inst.position("R", 0, "C"), **kwargs)
 
 
 class TestPlanDeterminism:

@@ -16,4 +16,4 @@ def instance_with_rows(n_rows: int) -> PositionedInstance:
 
 def small_problem(n_rows: int = 2, **kwargs) -> Problem:
     inst = instance_with_rows(n_rows)
-    return Problem.from_instance(inst, inst.position("R", 0, "C"), **kwargs)
+    return Problem(inst, inst.position("R", 0, "C"), **kwargs)

@@ -24,9 +24,7 @@ def instance_with_rows(n_rows: int) -> PositionedInstance:
 
 
 def problem(inst, p, method="auto", samples=200, seed=0) -> Problem:
-    return Problem.from_instance(
-        inst, p, method=method, samples=samples, seed=seed
-    )
+    return Problem(inst, p, method=method, samples=samples, seed=seed)
 
 
 def live_budget_threads() -> int:

@@ -55,6 +55,12 @@ class TestCanonicalKeys:
         assert job_key(MeasureJob(samples=100, **base)) != job_key(
             MeasureJob(samples=200, **base)
         )
+        # "auto" may degrade to Monte Carlo, so it keys on the sampling
+        # parameters just like a pinned MC request.
+        auto = {**base, "method": "auto"}
+        assert job_key(MeasureJob(samples=100, **auto)) != job_key(
+            MeasureJob(samples=200, **auto)
+        )
         # An exact result never answers a sampled request, or vice versa.
         assert job_key(MeasureJob(**base)) != job_key(
             MeasureJob(**{**base, "method": "exact"})

@@ -8,7 +8,7 @@ from repro.__main__ import main
 from repro.service.budget import Budget
 from repro.service.jobs import AdviseJob, MeasureJob, RPQJob
 from repro.service.metrics import METRICS, Metrics
-from repro.service.runner import BatchRunner
+from repro.service.runner import BatchRunner, run_batch
 from repro.service.pool import WorkerPool
 
 THREE_JOBS = [
@@ -134,6 +134,33 @@ class TestBatchRunner:
         assert entry["ok"] is False
         assert entry["error"]["error"] == "budget_exceeded"
         assert ["exact", "skipped:size"] in entry["error"]["stages"]
+
+
+class TestPlanOncePerJob:
+    def test_each_measure_miss_is_planned_once(self, tmp_path):
+        # Scheduling and execution share one plan per measure job, on
+        # both the fan-out (exact) and the sharded (MC, auto) axes.
+        design, rows = "T(A,B,C); B->C", [[1, 2, 3], [4, 2, 3]]
+        measures = [
+            {"method": "exact"},
+            {"method": "montecarlo", "samples": 40, "seed": 1},
+            {"method": "auto", "samples": 40},
+        ]
+        lines = [
+            json.dumps(
+                {
+                    "kind": "measure",
+                    "design": design,
+                    "rows": rows,
+                    "position": [0, "C"],
+                    **options,
+                }
+            )
+            for options in measures
+        ] + [THREE_JOBS[2]]
+        report = run_batch(write_jobs(tmp_path, lines), workers=2)
+        assert report["ok"] == len(lines)
+        assert report["metrics"]["counters"]["planner.plans"] == len(measures)
 
 
 class TestBatchCLI:
