@@ -14,7 +14,7 @@ import time
 
 from repro.service.faults import fault_injection
 from repro.service.jobs import MeasureJob
-from repro.service.metrics import FAULTS_INJECTED, METRICS, Metrics, RETRIES
+from repro.service.metrics import FAULTS_INJECTED, METRICS, RETRIES
 from repro.service.pool import WorkerPool
 from repro.service.retry import RetryPolicy
 from repro.service.runner import BatchRunner
@@ -40,14 +40,9 @@ def batch_jobs(count=8, samples=3000):
 
 
 def run_batch_under_rate(jobs, rate, seed=13):
-    metrics = Metrics()
+    METRICS.reset()
     retry = RetryPolicy(max_attempts=10, base_delay=0.0)
-    runner = BatchRunner(
-        pool=WorkerPool(workers=4, retry=retry),
-        metrics=metrics,
-        retry=retry,
-    )
-    injected_before = METRICS.get(FAULTS_INJECTED)
+    runner = BatchRunner(pool=WorkerPool(workers=4, retry=retry), retry=retry)
     try:
         start = time.perf_counter()
         if rate > 0.0:
@@ -59,8 +54,8 @@ def run_batch_under_rate(jobs, rate, seed=13):
     finally:
         runner.pool.shutdown()
     assert report["failed"] == 0
-    injected = METRICS.get(FAULTS_INJECTED) - injected_before
-    retries = metrics.get(RETRIES) + metrics.get("pool.chunk_retries")
+    injected = METRICS.get(FAULTS_INJECTED)
+    retries = METRICS.get(RETRIES)
     values = [entry["value"] for entry in report["results"]]
     return elapsed, injected, retries, values
 
@@ -96,9 +91,12 @@ def test_e15_fault_rate_table(benchmark):
         ["fault rate", "jobs", "faults injected", "retries", "throughput"],
         rows,
     )
-    # Faults were actually exercised at the non-zero rates.
+    # Faults were actually exercised at the non-zero rates, and with no
+    # failed job every injected crash (job or chunk site) cost exactly
+    # one retry.
     assert rows[0][2] == 0
     assert all(r[2] > 0 for r in rows[1:])
+    assert all(r[3] == r[2] for r in rows[1:])
 
 
 def test_e15_clean_batch_kernel(benchmark):

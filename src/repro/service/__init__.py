@@ -9,14 +9,16 @@ A parallel runtime over the measure/advisor/RPQ entry points:
   estimation into mergeable chunks and fans out independent jobs;
 - :mod:`repro.service.budget` — per-job wall-clock budgets with graceful
   degradation (exact sweep → Monte Carlo) and structured timeout errors;
-- :mod:`repro.service.metrics` — the counters/timers registry the core
-  engines record into;
+- :mod:`repro.service.metrics` — ``METRICS``, the one counters/histograms
+  registry every layer records into;
 - :mod:`repro.service.runner` — JSONL batch execution
   (``python -m repro batch jobs.jsonl``);
 - :mod:`repro.service.errors` — the structured error taxonomy (parse /
-  validation / budget / worker_crash / cache_corrupt / internal);
-- :mod:`repro.service.retry` — deterministic exponential backoff with a
-  per-kind retryability table;
+  validation / budget / worker_crash / cache_corrupt / internal) and the
+  transient kinds that alone are retried;
+- :mod:`repro.service.retry` — ``retry_call``, the one retry loop (per
+  job in the runner, per chunk in the pool), with deterministic
+  exponential backoff;
 - :mod:`repro.service.checkpoint` — atomic JSONL checkpointing and
   ``--resume`` support;
 - :mod:`repro.service.faults` — the deterministic fault-injection
@@ -25,8 +27,8 @@ A parallel runtime over the measure/advisor/RPQ entry points:
   options and service invariants;
 - :mod:`repro.service.trace` — the thread-safe span tracer
   (``--trace-out``, Chrome/Perfetto export, cross-process adoption);
-- :mod:`repro.service.hist` — fixed-bucket log2 latency histograms
-  (p50/p95/p99 behind ``METRICS.observe``);
+- :mod:`repro.service.hist` — fixed-bucket log2 latency histograms, the
+  one store behind each ``METRICS`` timer (count/sum/min/max, p50/p95/p99);
 - :mod:`repro.service.export` — trace/Prometheus/report exporters
   (``--metrics-out``, ``--prometheus-out``, ``metrics-report``).
 

@@ -33,7 +33,7 @@ import tempfile
 import threading
 from typing import Dict, Iterable, Optional
 
-from repro.service.metrics import CHECKPOINTS_WRITTEN, METRICS, Metrics
+from repro.service.metrics import CHECKPOINTS_WRITTEN, METRICS
 from repro.service.trace import TRACER
 
 #: Result-entry fields excluded from checkpoints: wall-clock timing and
@@ -55,9 +55,8 @@ def _dumps(record: dict) -> str:
 class Checkpoint:
     """Append-through, atomically-compacted JSONL result storage."""
 
-    def __init__(self, path: str, metrics: Metrics = METRICS):
+    def __init__(self, path: str):
         self.path = path
-        self.metrics = metrics
         self._lock = threading.Lock()
         self._handle = None
         #: Lines skipped by :meth:`load` (torn tail, garbage).
@@ -113,7 +112,7 @@ class Checkpoint:
                 self._handle.write(line + "\n")
                 self._handle.flush()
                 os.fsync(self._handle.fileno())
-        self.metrics.inc(CHECKPOINTS_WRITTEN)
+        METRICS.inc(CHECKPOINTS_WRITTEN)
 
     def finalize(self, entries: Iterable[dict]) -> None:
         """Atomically rewrite the file from *entries* (input order).
@@ -147,7 +146,7 @@ class Checkpoint:
                 except OSError:
                     pass
                 raise
-        self.metrics.inc(CHECKPOINTS_WRITTEN)
+        METRICS.inc(CHECKPOINTS_WRITTEN)
 
     def close(self) -> None:
         with self._lock:

@@ -23,8 +23,10 @@ internal    any other exception escaping a job (the former blanket
 :func:`from_exception` wraps them, preserving structured payloads such
 as :class:`repro.service.budget.BudgetExceeded`'s stage history.
 
-Retryability is a *policy* decision (see :mod:`repro.service.retry`);
-this module only records the conventional transient set.
+This module owns **retryability**: :data:`TRANSIENT_KINDS`, read through
+:attr:`JobError.transient`, is the one table that decides whether a
+failure re-executes (:func:`repro.service.retry.retry_call` consults it)
+and the source of every payload's ``retryable`` field.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ KINDS: Tuple[str, ...] = (
     "internal",
 )
 
-#: Kinds that are transient by nature — retrying them can succeed.
+#: Kinds that are transient by nature — retrying them can succeed, so
+#: these and only these re-execute; every other kind fails fast.
 TRANSIENT_KINDS = frozenset({"worker_crash", "cache_corrupt"})
 
 
@@ -84,7 +87,7 @@ class JobError(Exception):
 
     @property
     def transient(self) -> bool:
-        """Whether this kind is conventionally retryable."""
+        """Whether this kind re-executes (it is in :data:`TRANSIENT_KINDS`)."""
         return self.kind in TRANSIENT_KINDS
 
     def to_dict(self, include_traceback: bool = True) -> dict:

@@ -8,9 +8,10 @@ Three renderings of the observability layer's raw material:
   https://ui.perfetto.dev to see the per-job → per-chunk → per-engine
   tree on a timeline, with worker processes on their own ``pid`` lanes;
 - :func:`prometheus_text` renders a :meth:`Metrics.snapshot` in the
-  Prometheus text exposition format (counters with parsed labels, timers
-  as ``_count``/``_sum``/``_min``/``_max``, histograms as cumulative
-  ``_bucket{le=...}`` series ending in ``+Inf``);
+  Prometheus text exposition format (counters with parsed labels, one
+  histogram family per timer — cumulative ``_bucket{le=...}`` series
+  ending in ``+Inf``, ``_count``/``_sum`` — plus ``_min``/``_max``
+  gauges);
 - :func:`render_report` pretty-prints a run for humans — top spans by
   self-time, latency quantiles, and the retry/fault/cache tallies —
   behind ``python -m repro metrics-report``.
@@ -168,19 +169,8 @@ def prometheus_text(snapshot: dict) -> str:
         declare(prom, "counter")
         lines.append(f"{prom}{_prom_labels(labels)} {value}")
 
-    for key, stats in snapshot.get("timers", {}).items():
-        base = _prom_name(key) + "_seconds"
-        declare(base, "summary")
-        lines.append(f"{base}_count {stats['count']}")
-        lines.append(f"{base}_sum {_fmt(stats['seconds'])}")
-        for bound in ("min", "max"):
-            if bound in stats:
-                gauge = f"{base}_{bound}"
-                declare(gauge, "gauge")
-                lines.append(f"{gauge} {_fmt(stats[bound])}")
-
     for key, hist in snapshot.get("histograms", {}).items():
-        base = _prom_name(key) + "_latency_seconds"
+        base = _prom_name(key) + "_seconds"
         declare(base, "histogram")
         cumulative = 0
         for bound, count in hist.get("buckets", []):
@@ -189,6 +179,10 @@ def prometheus_text(snapshot: dict) -> str:
         lines.append(f'{base}_bucket{{le="+Inf"}} {hist["count"]}')
         lines.append(f"{base}_count {hist['count']}")
         lines.append(f"{base}_sum {_fmt(hist['sum'])}")
+        for bound in ("min", "max"):
+            gauge = f"{base}_{bound}"
+            declare(gauge, "gauge")
+            lines.append(f"{gauge} {_fmt(hist[bound])}")
 
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -265,8 +259,7 @@ def render_report(
         sections.append("\n".join(lines))
 
     if metrics:
-        timers = metrics.get("timers", {})
-        hists = metrics.get("histograms", {})
+        timers = metrics.get("histograms", {})
         if timers:
             width = max(len(name) for name in timers)
             lines = ["Timers"]
@@ -275,17 +268,14 @@ def render_report(
                 f"{'min':>10}  {'max':>10}  {'p50':>10}  {'p95':>10}  "
                 f"{'p99':>10}"
             )
-            for name in sorted(timers):
-                stats = timers[name]
-                hist = hists.get(name, {})
+            for name, hist in sorted(timers.items()):
+                stats = "".join(
+                    f"  {_ms(hist[k]):>10}"
+                    for k in ("min", "max", "p50", "p95", "p99")
+                )
                 lines.append(
-                    f"  {name.ljust(width)}  {stats['count']:>6}  "
-                    f"{_ms(stats['seconds']):>12}  "
-                    f"{_ms(stats.get('min', 0.0)):>10}  "
-                    f"{_ms(stats.get('max', 0.0)):>10}  "
-                    f"{_ms(hist.get('p50', 0.0)):>10}  "
-                    f"{_ms(hist.get('p95', 0.0)):>10}  "
-                    f"{_ms(hist.get('p99', 0.0)):>10}"
+                    f"  {name.ljust(width)}  {hist['count']:>6}  "
+                    f"{_ms(hist['sum']):>12}{stats}"
                 )
             sections.append("\n".join(lines))
 

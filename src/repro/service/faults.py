@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.service.errors import KINDS, JobError
-from repro.service.metrics import FAULTS_INJECTED, METRICS, Metrics
+from repro.service.metrics import FAULTS_INJECTED, METRICS
 
 #: Which taxonomy kinds each instrumented site can raise.
 SITE_KINDS: Dict[str, Tuple[str, ...]] = {
@@ -145,7 +145,6 @@ class FaultInjector:
         site: str,
         token: str,
         kinds: Optional[Iterable[str]] = None,
-        metrics: Metrics = METRICS,
     ) -> None:
         """Roll the dice for one instrumented call; raise on a hit.
 
@@ -164,7 +163,7 @@ class FaultInjector:
                 n = self._counts.get(key, 0)
                 self._counts[key] = n + 1
             if _unit(spec.seed, kind, site, str(token), n) < spec.rate:
-                metrics.inc(FAULTS_INJECTED)
+                METRICS.inc(FAULTS_INJECTED)
                 raise InjectedFault(kind, site, str(token), n)
 
 

@@ -8,8 +8,8 @@ Two parallelism axes, both ``concurrent.futures``-backed:
   sufficient statistics.  Because the sampler is counter-based (sample
   ``j`` is seeded by ``(seed, j)``), the merged estimate is **bit-equal**
   to the serial one for any worker count;
-- **across jobs** — :meth:`WorkerPool.map` fans independent thunks out
-  over the same executor.
+- **across jobs** — the batch runner submits independent jobs to the
+  same :attr:`WorkerPool.executor`.
 
 Threads are the default executor: chunk evaluation releases no locks and
 the instances are small, so thread fan-out costs nothing to set up and is
@@ -17,14 +17,14 @@ correct everywhere; pass ``use_processes=True`` for CPU-bound sharding on
 multi-core machines (jobs and instances are picklable by construction).
 
 Chunk execution is **fault-tolerant**: :meth:`WorkerPool.map_retrying`
-re-executes only the chunks whose futures failed with a *transient*
-taxonomy kind (``worker_crash``, ``cache_corrupt``), keeping every
-completed chunk, under the pool's :class:`~repro.service.retry.RetryPolicy`
-with deterministic backoff.  A broken executor (``BrokenProcessPool``
-after a worker SIGKILL, a shut-down thread pool) is rebuilt in place
-before the retry round.  Because chunk results are order-merged
-sufficient statistics, a recovered estimate is still bit-identical to
-the failure-free one.
+settles each chunk through :func:`~repro.service.retry.retry_call` under
+the pool's :class:`~repro.service.retry.RetryPolicy`, so only the chunks
+whose futures failed with a *transient* taxonomy kind (``worker_crash``,
+``cache_corrupt``) re-execute, and every completed chunk is kept.  A
+broken executor (``BrokenProcessPool`` after a worker SIGKILL, a
+shut-down thread pool) is rebuilt in place when a resubmission finds it
+broken.  Because chunk results are order-merged sufficient statistics, a
+recovered estimate is still bit-identical to the failure-free one.
 
 Chunk evaluation is also the runtime's **cross-process telemetry seam**:
 a chunk that runs in a worker process snapshots its local
@@ -44,6 +44,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.montecarlo import (
@@ -53,11 +54,9 @@ from repro.core.montecarlo import (
     ric_mc_chunk,
 )
 from repro.core.positions import Position, PositionedInstance
-from repro.service.budget import StageTimeout
-from repro.service.errors import from_exception
 from repro.service.faults import FAULTS
-from repro.service.metrics import METRICS, RETRIES
-from repro.service.retry import RetryPolicy, token_seed
+from repro.service.metrics import METRICS
+from repro.service.retry import RetryPolicy, retry_call, token_seed
 from repro.service.trace import TRACER
 from repro.service.validate import MAX_WORKERS, check_positive_int
 
@@ -135,27 +134,20 @@ class WorkerPool:
     """A fixed-size worker pool over threads (default) or processes.
 
     Usable as a context manager; otherwise call :meth:`shutdown` when
-    done.  An externally managed ``executor`` may be injected instead
-    (the pool then never shuts it down — and never rebuilds it after a
-    crash, since its lifecycle belongs to the caller).
+    done.
     """
 
     def __init__(
         self,
         workers: int = 4,
         use_processes: bool = False,
-        executor: Optional[Executor] = None,
         retry: Optional[RetryPolicy] = None,
     ):
         check_positive_int("workers", workers, maximum=MAX_WORKERS)
         self.workers = workers
         self.retry = retry or RetryPolicy()
         self._use_processes = use_processes
-        self._owned = executor is None
-        if executor is not None:
-            self._executor = executor
-        else:
-            self._executor = self._new_executor()
+        self._executor = self._new_executor()
 
     def _new_executor(self) -> Executor:
         if self._use_processes:
@@ -169,29 +161,17 @@ class WorkerPool:
         return self._executor
 
     def rebuild(self) -> None:
-        """Replace a broken owned executor with a fresh one.
+        """Replace a broken executor with a fresh one.
 
         Futures already completed keep their results; only the pending
         work the caller chooses to resubmit runs on the new executor.
-        Injected executors are left alone (the owner decides).
         """
-        if not self._owned:
-            return
         try:
             self._executor.shutdown(wait=False)
         except Exception:  # noqa: BLE001 — a broken pool may refuse even this
             pass
         self._executor = self._new_executor()
         METRICS.inc("pool.rebuilds")
-
-    def map(self, fn: Callable, items: Sequence) -> list:
-        """Apply *fn* to every item concurrently, preserving order.
-
-        Exceptions propagate from the first failing item, matching the
-        serial ``[fn(x) for x in items]`` contract.
-        """
-        futures = [self._executor.submit(fn, item) for item in items]
-        return [future.result() for future in futures]
 
     def map_retrying(
         self,
@@ -202,56 +182,34 @@ class WorkerPool:
     ) -> list:
         """Order-preserving map that re-executes transiently failed items.
 
-        Each retry round resubmits only the failed indices (completed
-        results are never recomputed), rebuilding the executor first if
-        it broke.  A non-retryable failure, or a retryable one that
-        exhausts ``retry.max_attempts``, raises its taxonomy-wrapped
-        :class:`~repro.service.errors.JobError`; a
-        :class:`~repro.service.budget.StageTimeout` is raised as it is.
+        Every item is submitted at once; each is then settled through
+        :func:`~repro.service.retry.retry_call`, which resubmits only
+        that item (seeded by its token) while its failures are transient.
+        Completed results are never recomputed.  Any other failure, or
+        the last transient one, propagates as it was raised — a
+        :class:`~repro.service.budget.StageTimeout` included.
         """
-        tokens = (
-            [str(t) for t in tokens]
-            if tokens is not None
-            else [str(i) for i in range(len(items))]
-        )
-        results: List = [None] * len(items)
-        pending = list(range(len(items)))
-        attempt = 0
-        while pending:
-            futures = {}
-            for index in pending:
-                futures[index] = self._submit_safe(fn, items[index])
-            failed: List[int] = []
-            last_error = None
-            for index, future in futures.items():
-                try:
-                    results[index] = future.result()
-                except StageTimeout:
-                    raise  # the stage is over: nothing to retry or wrap
-                except Exception as exc:  # noqa: BLE001 — classified below
-                    error = from_exception(exc)
-                    if not self.retry.is_retryable(error.kind):
-                        raise error from exc
-                    failed.append(index)
-                    last_error = error
-            if not failed:
-                return results
-            if attempt + 1 >= self.retry.max_attempts:
-                raise last_error
-            METRICS.inc(RETRIES, len(failed))
-            METRICS.inc("pool.chunk_retries", len(failed))
-            TRACER.event(
-                "retry",
-                attempt=attempt,
-                failed=len(failed),
-                kind=last_error.kind,
+        if tokens is None:
+            tokens = range(len(items))
+        futures = [self._submit_safe(fn, item) for item in items]
+
+        def attempt(index: int):
+            # The first attempt collects the original future; a retry
+            # resubmits the item.
+            future, futures[index] = futures[index], None
+            if future is None:
+                future = self._submit_safe(fn, items[index])
+            return future.result()
+
+        return [
+            retry_call(
+                partial(attempt, index),
+                self.retry,
+                seed=token_seed(token),
+                sleep=sleep,
             )
-            if getattr(self._executor, "_broken", False):
-                self.rebuild()
-            sleep(self.retry.delay(attempt, seed=token_seed(tokens[failed[0]])))
-            pending = failed
-            attempt += 1
-        return results
+            for index, token in enumerate(tokens)
+        ]
 
     def _submit_safe(self, fn, item):
         """Submit, rebuilding the executor once if submission itself
@@ -310,9 +268,8 @@ class WorkerPool:
         return merge_mc_chunks(chunks)
 
     def shutdown(self) -> None:
-        """Release the executor (no-op for injected executors)."""
-        if self._owned:
-            self._executor.shutdown(wait=True)
+        """Release the executor."""
+        self._executor.shutdown(wait=True)
 
     def __enter__(self) -> "WorkerPool":
         return self

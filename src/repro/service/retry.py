@@ -1,41 +1,38 @@
-"""Deterministic retry with exponential backoff and per-kind policy.
+"""Deterministic retry with exponential backoff: the runtime's one retry loop.
 
-A :class:`RetryPolicy` decides **whether** a failure re-executes (the
-per-kind retryability table, defaulting to the taxonomy's transient
-kinds) and **when** (exponential backoff capped at ``max_delay``).  The
-jitter that de-synchronizes concurrent retries is *counter-seeded*: the
-delay for attempt *i* under seed *s* is a pure function of ``(s, i)``
+A :class:`RetryPolicy` decides **how often** a failure re-executes and
+**when** (exponential backoff capped at :data:`MAX_DELAY`).  **Whether**
+a failure re-executes is not a policy knob: it is the taxonomy's
+:data:`~repro.service.errors.TRANSIENT_KINDS`, read through
+:attr:`JobError.transient <repro.service.errors.JobError.transient>`.
+The jitter that de-synchronizes concurrent retries is *counter-seeded*:
+the delay for attempt *i* under seed *s* is a pure function of ``(s, i)``
 computed through SHA-256, never the process-global ``random`` state —
 so a retried batch replays the exact same backoff schedule, which is
 what makes fault-injection tests (and post-mortem reproduction of a
 flaky run) deterministic.
 
-:func:`retry_call` is the execution loop shared by the runner (per-job
-retries) and the worker pool (per-chunk retries).
+:func:`retry_call` is the only retry loop in the runtime: the runner
+calls it per job and the worker pool per chunk.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time as _time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Callable
 
-from repro.service.errors import JobError, from_exception
-from repro.service.metrics import METRICS, RETRIES, Metrics
+from repro.service.errors import from_exception
+from repro.service.metrics import METRICS, RETRIES
 from repro.service.trace import TRACER
 
-#: The per-kind retryability table: transient faults re-execute,
-#: deterministic failures (bad input, exhausted budgets, genuine bugs)
-#: fail fast — retrying them would only repeat the failure.
-DEFAULT_RETRYABLE: Dict[str, bool] = {
-    "parse": False,
-    "validation": False,
-    "budget": False,
-    "worker_crash": True,
-    "cache_corrupt": True,
-    "internal": False,
-}
+#: The cap on any single backoff delay, in seconds.
+MAX_DELAY = 2.0
+
+#: Each delay is stretched by up to this fraction, drawn
+#: deterministically from ``(seed, attempt)``.
+JITTER = 0.1
 
 
 def _unit(seed: int, counter: int) -> float:
@@ -49,35 +46,23 @@ class RetryPolicy:
     """How many times to re-execute and how long to wait in between.
 
     ``max_attempts`` counts the first try (3 means up to two retries);
-    ``jitter`` stretches each delay by up to that fraction, drawn
-    deterministically from ``(seed, attempt)``.
+    ``base_delay`` is the first backoff, doubled on each further retry.
     """
 
     max_attempts: int = 3
     base_delay: float = 0.05
-    max_delay: float = 2.0
-    jitter: float = 0.1
-    retryable: Dict[str, bool] = field(
-        default_factory=lambda: dict(DEFAULT_RETRYABLE)
-    )
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ValueError("delays must be non-negative")
-        if not 0 <= self.jitter <= 1:
-            raise ValueError("jitter must be within [0, 1]")
-
-    def is_retryable(self, kind: str) -> bool:
-        """Whether failures of *kind* re-execute under this policy."""
-        return self.retryable.get(kind, False)
+        if self.base_delay < 0:
+            raise ValueError("base_delay must be non-negative")
 
     def delay(self, attempt: int, seed: int = 0) -> float:
         """Backoff before retry *attempt* (0-based): capped exponential
         growth plus deterministic counter-seeded jitter."""
-        base = min(self.max_delay, self.base_delay * (2**attempt))
-        return base * (1.0 + self.jitter * _unit(seed, attempt))
+        base = min(MAX_DELAY, self.base_delay * (2**attempt))
+        return base * (1.0 + JITTER * _unit(seed, attempt))
 
     def schedule(self, seed: int = 0) -> list:
         """The full delay schedule this policy would sleep through."""
@@ -95,31 +80,26 @@ def retry_call(
     policy: RetryPolicy,
     *,
     seed: int = 0,
-    metrics: Metrics = METRICS,
     sleep: Callable[[float], None] = _time.sleep,
-    on_retry: Optional[Callable[[JobError, int], None]] = None,
 ):
     """Run *fn*, re-executing transient failures under *policy*.
 
-    Exceptions are classified through the taxonomy; a non-retryable kind
-    (or an exhausted attempt budget) raises the wrapping
-    :class:`~repro.service.errors.JobError`.  Each retry increments the
-    ``retries`` counter and sleeps the deterministic backoff delay.
+    A failure whose taxonomy kind is transient re-executes until
+    ``policy.max_attempts`` is spent; each retry increments the
+    ``retries`` counter, records a ``retry`` trace event and sleeps the
+    deterministic backoff delay.  Any other failure, or the last one,
+    is re-raised **as it was raised** — classifying it for a report is
+    the caller's job, done once.
     """
     attempt = 0
     while True:
         try:
             return fn()
-        except Exception as exc:  # noqa: BLE001 — classified below
+        except Exception as exc:  # noqa: BLE001 — re-raised unless transient
             error = from_exception(exc)
-            if (
-                not policy.is_retryable(error.kind)
-                or attempt + 1 >= policy.max_attempts
-            ):
-                raise error from exc
-            metrics.inc(RETRIES)
+            if not error.transient or attempt + 1 >= policy.max_attempts:
+                raise
+            METRICS.inc(RETRIES)
             TRACER.event("retry", attempt=attempt, kind=error.kind)
-            if on_retry is not None:
-                on_retry(error, attempt)
             sleep(policy.delay(attempt, seed))
             attempt += 1

@@ -20,7 +20,8 @@ Keeping the two axes on disjoint scheduling paths makes the design
 deadlock-free: a sharded job never waits on pool slots held by other
 sharded jobs.  Results come back in input order as JSON-safe dicts with
 per-job timing and the cache key, followed by the cache stats and a
-:func:`repro.service.metrics.Metrics.snapshot` of the engines' counters.
+snapshot of :data:`~repro.service.metrics.METRICS`, the registry every
+layer records into.
 
 Fault tolerance (see also :mod:`repro.service.errors`):
 
@@ -29,8 +30,10 @@ Fault tolerance (see also :mod:`repro.service.errors`):
   ``kind``, machine-readable code, and captured traceback — never an
   anonymous string, and never fatal to the batch;
 - **transient** failures (``worker_crash``, ``cache_corrupt``) re-execute
-  under the runner's :class:`~repro.service.retry.RetryPolicy` with
-  deterministic backoff, both per job here and per chunk inside the pool;
+  through :func:`~repro.service.retry.retry_call` under the runner's
+  :class:`~repro.service.retry.RetryPolicy` with deterministic backoff,
+  both per job here and per chunk inside the pool; a failure that
+  escapes the retries is classified once, here, into the job's entry;
 - a malformed JSONL line becomes a ``parse``/``validation`` entry with
   its line number; the remaining lines still run;
 - with a :class:`~repro.service.checkpoint.Checkpoint`, completed results
@@ -43,7 +46,6 @@ Fault tolerance (see also :mod:`repro.service.errors`):
 from __future__ import annotations
 
 import json
-import time as _time
 from fractions import Fraction
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -67,9 +69,9 @@ from repro.service.jobs import (
     job_key,
     parse_jsonl_lenient,
 )
-from repro.service.metrics import METRICS, RETRIES, Metrics
+from repro.service.metrics import METRICS
 from repro.service.pool import WorkerPool
-from repro.service.retry import RetryPolicy, token_seed
+from repro.service.retry import RetryPolicy, retry_call, token_seed
 from repro.service.trace import TRACER
 
 
@@ -142,7 +144,6 @@ class BatchRunner:
         pool: Optional[WorkerPool] = None,
         cache: Optional[ResultCache] = None,
         budget: Optional[Budget] = None,
-        metrics: Metrics = METRICS,
         retry: Optional[RetryPolicy] = None,
         shard_pool: Optional[WorkerPool] = None,
     ):
@@ -151,7 +152,6 @@ class BatchRunner:
         self.pool = pool or WorkerPool(workers=4, retry=self.retry)
         self.cache = cache if cache is not None else ResultCache()
         self.budget = budget or Budget()
-        self.metrics = metrics
         # Job fan-out always stays on `pool` (thread-backed: it submits
         # bound methods of this runner, which do not pickle); Monte-Carlo
         # chunk sharding may be routed to a separate, possibly
@@ -278,7 +278,7 @@ class BatchRunner:
             key = job_key(job)
             cached = self._cache_get(key)
             if cached is not None:
-                self.metrics.inc("runner.cache_hits")
+                METRICS.inc("runner.cache_hits")
                 results[index] = self._entry(
                     job, key, ok=True, value=cached, seconds=0.0, cached=True
                 )
@@ -291,7 +291,7 @@ class BatchRunner:
                 entry = dict(resume_map[key])
                 entry.update(id=job.id, seconds=0.0, resumed=True)
                 results[index] = entry
-                self.metrics.inc("runner.checkpoint_hits")
+                METRICS.inc("runner.checkpoint_hits")
                 resumed += 1
             else:
                 planned = self._plan(job)
@@ -332,7 +332,7 @@ class BatchRunner:
             "elapsed_seconds": perf_counter() - batch_start,
             "results": results,
             "cache": self.cache.stats(),
-            "metrics": self.metrics.snapshot(),
+            "metrics": METRICS.snapshot(),
         }
         if resume_map or checkpoint is not None:
             report["resumed"] = resumed
@@ -344,43 +344,33 @@ class BatchRunner:
         *planned* is a measure job's scheduling-time :meth:`_plan`
         result, which execution reuses instead of planning again.
 
-        Failures are classified through the error taxonomy; transient
-        kinds re-execute under the retry policy with a deterministic
-        (token-seeded) backoff schedule.  The returned error is the
-        typed JSON payload — jobs must not kill the batch, but neither
-        may they fail anonymously.
+        Transient failures re-execute through
+        :func:`~repro.service.retry.retry_call` with a deterministic
+        (token-seeded) backoff schedule; whatever escapes it is
+        classified through the error taxonomy once, here.  The returned
+        error is the typed JSON payload — jobs must not kill the batch,
+        but neither may they fail anonymously.
         """
         start = perf_counter()
-        attempt = 0
+
+        def attempt():
+            FAULTS.maybe_raise("job", token)
+            with METRICS.timer(f"job.{job.kind}"):
+                if planned is None:
+                    return self.execute(job)
+                return self._execute_measure(planned)
+
         with TRACER.span(
             "job", parent_id=self._batch_span, kind=job.kind, id=job.id
         ) as span:
-            while True:
-                try:
-                    FAULTS.maybe_raise("job", token)
-                    with self.metrics.timer(f"job.{job.kind}"):
-                        value = (
-                            self.execute(job)
-                            if planned is None
-                            else self._execute_measure(planned)
-                        )
-                    return value, None, perf_counter() - start
-                except Exception as exc:  # noqa: BLE001 — classified below
-                    error = from_exception(exc)
-                    if (
-                        self.retry.is_retryable(error.kind)
-                        and attempt + 1 < self.retry.max_attempts
-                    ):
-                        self.metrics.inc(RETRIES)
-                        span.event("retry", attempt=attempt, kind=error.kind)
-                        _time.sleep(
-                            self.retry.delay(attempt, token_seed(token))
-                        )
-                        attempt += 1
-                        continue
-                    self.metrics.inc("runner.errors", kind=error.kind)
-                    span.set(failed=error.kind)
-                    return None, error.to_dict(), perf_counter() - start
+            try:
+                value = retry_call(attempt, self.retry, seed=token_seed(token))
+            except Exception as exc:  # noqa: BLE001 — classified below
+                error = from_exception(exc)
+                METRICS.inc("runner.errors", kind=error.kind)
+                span.set(failed=error.kind)
+                return None, error.to_dict(), perf_counter() - start
+            return value, None, perf_counter() - start
 
     def _complete(
         self,
@@ -399,7 +389,7 @@ class BatchRunner:
             if checkpoint is not None:
                 checkpoint.append(key, entry)
             return entry
-        self.metrics.inc("runner.job_errors")
+        METRICS.inc("runner.job_errors")
         return self._entry(
             job, key, ok=False, error=error, seconds=seconds, cached=False
         )
@@ -414,7 +404,7 @@ class BatchRunner:
         except JobError as exc:
             if exc.kind != "cache_corrupt":
                 raise
-            self.metrics.inc("cache.read_errors")
+            METRICS.inc("cache.read_errors")
             return None
 
     def _cache_put(self, key: str, value) -> None:
@@ -423,7 +413,7 @@ class BatchRunner:
         except JobError as exc:
             if exc.kind != "cache_corrupt":
                 raise
-            self.metrics.inc("cache.write_errors")
+            METRICS.inc("cache.write_errors")
 
     @staticmethod
     def _entry(
@@ -473,12 +463,10 @@ def run_batch(
     workers: int = 4,
     cache: Optional[ResultCache] = None,
     budget: Optional[Budget] = None,
-    metrics: Metrics = METRICS,
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
     retry: Optional[RetryPolicy] = None,
     use_processes: bool = False,
-    reset_metrics: bool = True,
 ) -> dict:
     """Execute the JSONL job file at *path* and return the batch report.
 
@@ -499,13 +487,11 @@ def run_batch(
     threads (runner state does not pickle, and sharded jobs must not
     queue behind fanned-out ones).
 
-    *reset_metrics* (default) zeroes *metrics* before the batch so the
-    report counts **this batch only** — repeated ``run_batch`` calls in
-    one process (library use) otherwise accumulate forever.  Pass
-    ``False`` to keep accumulating into a shared registry.
+    :data:`~repro.service.metrics.METRICS` is reset before the batch,
+    so the report counts **this batch only** — repeated ``run_batch``
+    calls in one process would otherwise accumulate forever.
     """
-    if reset_metrics:
-        metrics.reset()
+    METRICS.reset()
     with open(path, "r", encoding="utf-8") as handle:
         records = parse_jsonl_lenient(handle.read())
     jobs = [job for _, job, error in records if error is None]
@@ -518,11 +504,7 @@ def run_batch(
             details={"path": path, "bad_lines": parse_errors},
         )
 
-    checkpoint = (
-        Checkpoint(checkpoint_path, metrics=metrics)
-        if checkpoint_path
-        else None
-    )
+    checkpoint = Checkpoint(checkpoint_path) if checkpoint_path else None
     resume_map = checkpoint.load() if (checkpoint and resume) else None
 
     shard_pool = (
@@ -534,7 +516,6 @@ def run_batch(
         pool=WorkerPool(workers=workers, retry=retry),
         cache=cache,
         budget=budget,
-        metrics=metrics,
         retry=retry,
         shard_pool=shard_pool,
     )

@@ -1,6 +1,5 @@
 """The planner inside the batch runtime: counters, spans, scheduling."""
 
-from repro.service.metrics import METRICS
 from repro.service.runner import run_batch
 from repro.service.trace import TRACER, tracing
 
@@ -40,18 +39,6 @@ class TestPlannerCounterReset:
                 "counters"
             ]["planner.plans"]
             assert counters["engine.runs{engine=exact}"] == 1
-
-    def test_declined_reset_accumulates_planner_counters(self, tmp_path):
-        path = write_jobs(tmp_path, [EXACT_JOB])
-        baseline = run_batch(path, workers=2)["metrics"]["counters"][
-            "planner.plans"
-        ]
-        accumulated = run_batch(path, workers=2, reset_metrics=False)
-        assert (
-            accumulated["metrics"]["counters"]["planner.plans"]
-            == 2 * baseline
-        )
-        METRICS.reset()
 
 
 class TestEngineRunSpansAcrossProcesses:

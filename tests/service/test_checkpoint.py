@@ -12,7 +12,7 @@ import pytest
 from repro.__main__ import main
 from repro.service.checkpoint import Checkpoint, checkpoint_entry
 from repro.service.jobs import AdviseJob, MeasureJob, job_key
-from repro.service.metrics import CHECKPOINTS_WRITTEN, Metrics
+from repro.service.metrics import CHECKPOINTS_WRITTEN, METRICS
 from repro.service.pool import WorkerPool
 from repro.service.runner import BatchRunner
 
@@ -39,10 +39,8 @@ JOBS = [
 JOB_LINES = "\n".join(json.dumps(job.to_dict()) for job in JOBS) + "\n"
 
 
-def run_jobs(jobs, checkpoint=None, resume_map=None, metrics=None):
-    runner = BatchRunner(
-        pool=WorkerPool(workers=2), metrics=metrics or Metrics()
-    )
+def run_jobs(jobs, checkpoint=None, resume_map=None):
+    runner = BatchRunner(pool=WorkerPool(workers=2))
     try:
         return runner.run(jobs, checkpoint=checkpoint, resume_map=resume_map)
     finally:
@@ -70,15 +68,15 @@ class TestCheckpointFile:
 
     def test_append_then_load_round_trips(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
-        metrics = Metrics()
-        ck = Checkpoint(path, metrics=metrics)
+        METRICS.reset()
+        ck = Checkpoint(path)
         ck.append("k1", {"key": "k1", "ok": True, "seconds": 9.0, "value": 1})
         ck.append("k2", {"key": "k2", "ok": True, "seconds": 2.0, "value": 2})
         ck.close()
         loaded = Checkpoint(path).load()
         assert set(loaded) == {"k1", "k2"}
         assert loaded["k1"] == {"key": "k1", "ok": True, "value": 1}
-        assert metrics.get(CHECKPOINTS_WRITTEN) == 2
+        assert METRICS.get(CHECKPOINTS_WRITTEN) == 2
 
     def test_torn_tail_is_skipped_not_fatal(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
@@ -135,15 +133,13 @@ class TestResumeEquivalence:
         # Resume the full batch from the partial checkpoint.
         resume_ck = Checkpoint(part_path)
         resume_map = resume_ck.load()
-        metrics = Metrics()
-        resumed = run_jobs(
-            JOBS, checkpoint=resume_ck, resume_map=resume_map, metrics=metrics
-        )
+        METRICS.reset()
+        resumed = run_jobs(JOBS, checkpoint=resume_ck, resume_map=resume_map)
         assert resumed["failed"] == 0
         assert resumed["resumed"] == 2
-        assert metrics.get("runner.checkpoint_hits") == 2
+        assert METRICS.get("runner.checkpoint_hits") == 2
         # Completed jobs were not re-executed: only a2/m2 ran.
-        timers = resumed["metrics"]["timers"]
+        timers = resumed["metrics"]["histograms"]
         assert timers["job.advise"]["count"] == 1
         assert timers["job.measure"]["count"] == 1
 

@@ -102,8 +102,10 @@ class TestPrometheusText:
         assert 'repro_runner_errors_total{kind="budget"} 2' in text
 
     def test_timers_render_summary_and_extreme_gauges(self):
+        # One histogram family per timer, with its extremes as gauges.
         text = prometheus_text(self._snapshot())
-        assert "# TYPE repro_job_measure_seconds summary" in text
+        assert "# TYPE repro_job_measure_seconds histogram" in text
+        assert "summary" not in text
         assert "repro_job_measure_seconds_count 2" in text
         assert "repro_job_measure_seconds_min 0.002" in text
         assert "repro_job_measure_seconds_max 0.004" in text
@@ -112,14 +114,12 @@ class TestPrometheusText:
         lines = prometheus_text(self._snapshot()).splitlines()
         buckets = [
             line for line in lines
-            if line.startswith("repro_job_measure_latency_seconds_bucket")
+            if line.startswith("repro_job_measure_seconds_bucket")
         ]
-        assert buckets[-1] == (
-            'repro_job_measure_latency_seconds_bucket{le="+Inf"} 2'
-        )
+        assert buckets[-1] == 'repro_job_measure_seconds_bucket{le="+Inf"} 2'
         counts = [int(line.rsplit(" ", 1)[1]) for line in buckets]
         assert counts == sorted(counts)  # cumulative, monotone
-        assert "repro_job_measure_latency_seconds_count 2" in lines
+        assert "repro_job_measure_seconds_count 2" in lines
 
     def test_empty_snapshot_renders_empty(self):
         assert prometheus_text(Metrics().snapshot()) == ""

@@ -17,7 +17,7 @@ from repro.service.faults import (
     parse_fault_specs,
 )
 from repro.service.jobs import AdviseJob, MeasureJob, parse_jsonl_lenient
-from repro.service.metrics import FAULTS_INJECTED, METRICS, Metrics
+from repro.service.metrics import FAULTS_INJECTED, METRICS, RETRIES
 from repro.service.pool import WorkerPool
 from repro.service.retry import RetryPolicy
 from repro.service.runner import BatchRunner
@@ -117,11 +117,9 @@ class TestEveryKindInjects:
         covered = {kind for kinds in SITE_KINDS.values() for kind in kinds}
         assert covered == set(KINDS)
 
-    def run_one_advise(self, metrics=None, retry=None):
+    def run_one_advise(self, retry=None):
         runner = BatchRunner(
-            pool=WorkerPool(workers=2, retry=retry),
-            metrics=metrics or Metrics(),
-            retry=retry,
+            pool=WorkerPool(workers=2, retry=retry), retry=retry
         )
         try:
             return runner.run([AdviseJob(design="R(A,B,C); B->C", id="a")])
@@ -137,26 +135,27 @@ class TestEveryKindInjects:
         json.dumps(error)
 
     def test_internal_fault_at_job_site(self):
+        METRICS.reset()
         with fault_injection("internal:1.0:5"):
             report = self.run_one_advise()
         self.assert_typed_error(report["results"][0], "internal")
 
     def test_budget_fault_at_job_site(self):
+        METRICS.reset()
         with fault_injection("budget:1.0:5"):
             report = self.run_one_advise()
         self.assert_typed_error(report["results"][0], "budget")
 
     def test_worker_crash_at_job_site_recovers_by_retry(self):
-        metrics = Metrics()
-        injected_before = METRICS.get(FAULTS_INJECTED)
+        METRICS.reset()
         # Rate 0.6: some attempts fail, some succeed — deterministic.
         retry = RetryPolicy(max_attempts=8, base_delay=0.0)
         with fault_injection("worker_crash:0.6:5"):
-            report = self.run_one_advise(metrics=metrics, retry=retry)
+            report = self.run_one_advise(retry=retry)
         entry = report["results"][0]
         assert entry["ok"] is True
-        assert METRICS.get(FAULTS_INJECTED) > injected_before
-        assert metrics.get("retries") >= 1
+        # Every injected crash cost exactly one retry.
+        assert METRICS.get(RETRIES) == METRICS.get(FAULTS_INJECTED) >= 1
 
     def test_parse_and_validation_faults_at_parse_site(self):
         for kind in ("parse", "validation"):
@@ -172,12 +171,9 @@ class TestEveryKindInjects:
             assert payload["error"] == "injected_fault"
 
     def test_cache_corrupt_fault_degrades_to_miss(self):
-        metrics = Metrics()
-        injected_before = METRICS.get(FAULTS_INJECTED)
+        METRICS.reset()
         with fault_injection("cache_corrupt:1.0:5"):
-            runner = BatchRunner(
-                pool=WorkerPool(workers=2), metrics=metrics
-            )
+            runner = BatchRunner(pool=WorkerPool(workers=2))
             try:
                 report = runner.run(
                     [AdviseJob(design="R(A,B,C); B->C", id="a")]
@@ -186,9 +182,9 @@ class TestEveryKindInjects:
                 runner.pool.shutdown()
         # Both the read and the write failed, yet the job succeeded.
         assert report["results"][0]["ok"] is True
-        assert metrics.get("cache.read_errors") == 1
-        assert metrics.get("cache.write_errors") == 1
-        assert METRICS.get(FAULTS_INJECTED) == injected_before + 2
+        assert METRICS.get("cache.read_errors") == 1
+        assert METRICS.get("cache.write_errors") == 1
+        assert METRICS.get(FAULTS_INJECTED) == 2
 
     def test_cache_corrupt_fault_quarantines_on_load(self, tmp_path):
         path = str(tmp_path / "cache.json")
@@ -216,31 +212,61 @@ class TestChunkRecovery:
         )
 
         def run(faulty):
-            metrics = Metrics()
+            METRICS.reset()
             retry = RetryPolicy(max_attempts=8, base_delay=0.0)
             runner = BatchRunner(
-                pool=WorkerPool(workers=4, retry=retry),
-                metrics=metrics,
-                retry=retry,
+                pool=WorkerPool(workers=4, retry=retry), retry=retry
             )
             try:
                 if faulty:
                     with fault_injection("worker_crash:0.5:9"):
-                        return runner.run([job]), metrics
-                return runner.run([job]), metrics
+                        return runner.run([job])
+                return runner.run([job])
             finally:
                 runner.pool.shutdown()
 
-        clean, _ = run(faulty=False)
-        injected_before = METRICS.get(FAULTS_INJECTED)
-        stormy, metrics = run(faulty=True)
+        clean = run(faulty=False)
+        stormy = run(faulty=True)
         assert stormy["results"][0]["ok"] is True
-        assert METRICS.get(FAULTS_INJECTED) > injected_before
+        assert METRICS.get(RETRIES) == METRICS.get(FAULTS_INJECTED) > 0
         # Recovery preserves bit-identical estimates (counter-based
         # sampling; chunks re-executed, never resampled differently).
         assert (
             stormy["results"][0]["value"] == clean["results"][0]["value"]
         )
+
+
+class TestFaultAccounting:
+    def test_report_counts_every_retry_fault_and_plan(self):
+        # One registry: the report's counters hold the chunk retries, the
+        # injected faults and the planner/engine counts of the same run.
+        METRICS.reset()
+        jobs = [
+            MeasureJob(
+                design="T(A,B,C); B->C",
+                rows=((1, 2, 3), (4, 2, 3), (5, 6, 7)),
+                position=(0, "C"),
+                method="montecarlo",
+                samples=400,
+                seed=seed,
+                id=f"m{seed}",
+            )
+            for seed in range(4)
+        ] + [AdviseJob(design="R(A,B,C); B->C", id="a")]
+        retry = RetryPolicy(max_attempts=10, base_delay=0.0)
+        runner = BatchRunner(
+            pool=WorkerPool(workers=4, retry=retry), retry=retry
+        )
+        try:
+            with fault_injection("worker_crash:0.3:13"):
+                report = runner.run(jobs)
+        finally:
+            runner.pool.shutdown()
+        assert report["failed"] == 0
+        counters = report["metrics"]["counters"]
+        assert counters["retries"] == counters["faults_injected"] > 0
+        assert counters["planner.plans"] >= 4
+        assert counters["engine.runs{engine=montecarlo}"] == 4
 
 
 class TestFaultCLI:

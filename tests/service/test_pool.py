@@ -77,7 +77,7 @@ class TestChunkedDeterminism:
 class TestWorkerPool:
     def test_map_preserves_order(self):
         with WorkerPool(workers=4) as pool:
-            assert pool.map(lambda x: x * x, list(range(20))) == [
+            assert pool.map_retrying(lambda x: x * x, list(range(20))) == [
                 x * x for x in range(20)
             ]
 
@@ -89,7 +89,7 @@ class TestWorkerPool:
 
         with WorkerPool(workers=2) as pool:
             with pytest.raises(RuntimeError, match="job 3"):
-                pool.map(boom, list(range(5)))
+                pool.map_retrying(boom, list(range(5)))
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 from repro.__main__ import main
 from repro.service.budget import Budget
 from repro.service.jobs import AdviseJob, MeasureJob, RPQJob
-from repro.service.metrics import METRICS, Metrics
+from repro.service.metrics import METRICS
 from repro.service.runner import BatchRunner, run_batch
 from repro.service.pool import WorkerPool
 
@@ -29,7 +29,8 @@ def write_jobs(tmp_path, lines=THREE_JOBS):
 
 class TestBatchRunner:
     def test_mixed_batch_in_input_order(self):
-        runner = BatchRunner(pool=WorkerPool(workers=2), metrics=Metrics())
+        METRICS.reset()
+        runner = BatchRunner(pool=WorkerPool(workers=2))
         try:
             report = runner.run(
                 [
@@ -69,7 +70,8 @@ class TestBatchRunner:
                 samples=60,
             ),
         ]
-        runner = BatchRunner(pool=WorkerPool(workers=2), metrics=Metrics())
+        METRICS.reset()
+        runner = BatchRunner(pool=WorkerPool(workers=2))
         try:
             first = runner.run(jobs)
             second = runner.run(jobs)
@@ -82,12 +84,13 @@ class TestBatchRunner:
             for entry in first["results"]
         ]
         # The hits ran no job: each kind was executed once, by `first`.
-        timers = runner.metrics.snapshot()["timers"]
+        timers = METRICS.snapshot()["histograms"]
         assert timers["job.advise"]["count"] == 1
         assert timers["job.measure"]["count"] == 1
 
     def test_job_errors_do_not_kill_the_batch(self):
-        runner = BatchRunner(pool=WorkerPool(workers=2), metrics=Metrics())
+        METRICS.reset()
+        runner = BatchRunner(pool=WorkerPool(workers=2))
         try:
             report = runner.run(
                 [
@@ -108,10 +111,10 @@ class TestBatchRunner:
         assert "error" in bad
 
     def test_budget_exceeded_is_structured_in_results(self):
+        METRICS.reset()
         runner = BatchRunner(
             pool=WorkerPool(workers=2),
             budget=Budget(wall_seconds=0.05, exact_max_positions=4),
-            metrics=Metrics(),
         )
         try:
             report = runner.run(
