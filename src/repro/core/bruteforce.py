@@ -20,7 +20,8 @@ from repro.core.worlds import World
 def world_entropy_k_bruteforce(world: World, k: int) -> float:
     """``H_k(p | X)`` by literal enumeration (values are ``1..k``)."""
     counts = {}
-    domain = range(1, k + 1)
+    # The world's oracle takes cell codes: code the domain once.
+    domain = world.encode(range(1, k + 1))
     for a in domain:
         n_a = 0
         for completion in product(domain, repeat=world.num_erased):

@@ -21,6 +21,12 @@ seed)`` are sound.
 
 ``ric_montecarlo`` therefore never touches the global :mod:`random`
 state: with no arguments it uses ``seed=0`` (reproducible by default).
+
+Within one chunk, samples that draw the same revealed set reuse its
+ratio (up to :data:`MEMO_LIMIT` distinct sets): the value added and the
+summation order are those of recomputing it, so chunks stay
+bit-identical however ``[0, samples)`` is split.  The stage deadline is
+checked once per sample and inside each world's pattern search.
 """
 
 from __future__ import annotations
@@ -40,6 +46,10 @@ from repro.service.trace import TRACER
 #: indices before they seed the per-sample Mersenne Twister.
 _MIX = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
+
+#: Distinct revealed sets one chunk remembers the ratio of (bounds the
+#: memo's memory on large instances, where samples rarely repeat).
+MEMO_LIMIT = 1 << 16
 
 
 def _sample_rng(seed: int, index: int) -> random.Random:
@@ -100,7 +110,8 @@ def ric_mc_chunk(
     sharding ``[0, samples)`` across workers and merging reproduces the
     unchunked :func:`ric_montecarlo` result exactly.  *deadline* is
     checked once per sample (see
-    :func:`repro.service.budget.check_deadline`).
+    :func:`repro.service.budget.check_deadline`) and inside the pattern
+    search of every world the chunk evaluates.
     """
     from repro.service.budget import check_deadline
 
@@ -109,12 +120,21 @@ def ric_mc_chunk(
     others = [q for q in instance.positions if q != p]
     total = 0.0
     total_sq = 0.0
+    # Samples that draw the same revealed set share its ratio: the float
+    # and the summation order are those of recomputing it.
+    ratios = {}
     with TRACER.span("mc.chunk", start=start, count=count, seed=seed):
         for j in range(start, start + count):
             check_deadline(deadline)
             rng = _sample_rng(seed, j)
-            revealed = frozenset(q for q in others if rng.random() < 0.5)
-            ratio = float(world_limit_ratio(World(instance, p, revealed)))
+            draws = bytes([rng.random() < 0.5 for _q in others])
+            ratio = ratios.get(draws)
+            if ratio is None:
+                revealed = frozenset(q for q, d in zip(others, draws) if d)
+                world = World(instance, p, revealed)
+                ratio = float(world_limit_ratio(world, deadline))
+                if len(ratios) < MEMO_LIMIT:
+                    ratios[draws] = ratio
             total += ratio
             total_sq += ratio * ratio
     METRICS.inc("ric.mc.samples", count)

@@ -10,34 +10,63 @@ fresh values.  A pattern with ``b`` fresh blocks accounts for exactly
 distinct fixed values — so satisfying-completion counts are polynomials in
 ``k`` and the ``k → ∞`` limit of the entropy ratio is computable exactly.
 
-Two enumerators:
+Labels are the world's int cell codes (:mod:`repro.core.fastcheck`):
+revealed values ``0 … m−1``, a fresh candidate ``FRESH``, fresh block
+``b`` as ``m + b``.  Two enumerators:
 
 - :func:`pattern_counts` — all satisfying patterns grouped by ``b``
   (exact finite-``k`` counts; cost grows like an augmented Bell number of
   the erased-position count, so it is guarded).
 - :func:`max_fresh` — only the maximum ``b`` and how many patterns attain
   it (the leading term of the polynomial; branch-and-bound pruned, fast in
-  the common all-fresh-satisfiable case).
+  the common all-fresh-satisfiable case).  It writes each label into the
+  world's grid, asks the world's incremental certain-violation test about
+  that one cell, and restores the cell to ``UNKNOWN`` on backtrack.
+
+Both take the stage *deadline* and call
+:func:`repro.service.budget.check_deadline` on their first search node
+and every :data:`DEADLINE_EVERY` nodes after it, so a stage overshoots
+its budget by a bounded slice of one world, not by the whole world.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.worlds import FRESH, FreshValue, Unknown, World
+from repro.core.worlds import FRESH, UNKNOWN, World
+
+#: Search nodes between two deadline checks inside one world.
+DEADLINE_EVERY = 256
 
 
 class PatternBudgetExceeded(RuntimeError):
     """Raised when pattern enumeration would exceed the configured budget."""
 
 
-def _candidate_value(candidate: Any) -> Any:
-    """The concrete (or sentinel) value the candidate class stands for."""
-    return candidate  # FRESH is itself a FreshValue sentinel
+def _deadline_check(deadline: Optional[float]) -> Callable[[], None]:
+    """``check_deadline(deadline)`` as a thunk; a no-op without a deadline
+    (the budget module imports this package, so it is imported late)."""
+    if deadline is None:
+        return lambda: None
+    from repro.service.budget import check_deadline
+
+    return lambda: check_deadline(deadline)
+
+
+def _fixed_labels(world: World, candidate: int) -> List[int]:
+    """The non-fresh labels an erased cell can take: the revealed codes,
+    plus the candidate itself when it is fresh."""
+    labels = list(range(len(world.fixed_values)))
+    if candidate == FRESH:
+        labels.append(FRESH)
+    return labels
 
 
 def pattern_counts(
-    world: World, candidate: Any, max_leaves: int = 2_000_000
+    world: World,
+    candidate: int,
+    max_leaves: int = 2_000_000,
+    deadline: Optional[float] = None,
 ) -> Dict[int, int]:
     """Count satisfying patterns by number of fresh blocks.
 
@@ -45,43 +74,49 @@ def pattern_counts(
     bounds the number of leaf oracle calls (raises
     :class:`PatternBudgetExceeded` beyond it).
     """
-    fixed_labels: List[Any] = list(world.fixed_values)
-    if candidate is FRESH:
-        fixed_labels.append(FRESH)
-    cand_value = _candidate_value(candidate)
-
+    check_deadline = _deadline_check(deadline)
+    fixed_labels = _fixed_labels(world, candidate)
+    m = len(world.fixed_values)
     erased = world.num_erased
-    assignment: List[Any] = [None] * erased
+    assignment: List[int] = [UNKNOWN] * erased
     counts: Dict[int, int] = {}
-    leaves = [0]
+    leaves = 0
+    nodes = 0
 
     def recurse(i: int, blocks: int) -> None:
+        nonlocal leaves, nodes
+        if not nodes % DEADLINE_EVERY:
+            check_deadline()
+        nodes += 1
         if i == erased:
-            leaves[0] += 1
-            if leaves[0] > max_leaves:
+            leaves += 1
+            if leaves > max_leaves:
                 raise PatternBudgetExceeded(
                     f"more than {max_leaves} patterns for world "
                     f"(erased={erased})"
                 )
-            if world.satisfies(cand_value, assignment):
+            if world.satisfies(candidate, assignment):
                 counts[blocks] = counts.get(blocks, 0) + 1
             return
         for label in fixed_labels:
             assignment[i] = label
             recurse(i + 1, blocks)
-        for block in range(blocks):
-            assignment[i] = FreshValue(block)
+        for label in range(m, m + blocks):
+            assignment[i] = label
             recurse(i + 1, blocks)
-        assignment[i] = FreshValue(blocks)
+        assignment[i] = m + blocks
         recurse(i + 1, blocks + 1)
-        assignment[i] = None
+        assignment[i] = UNKNOWN
 
     recurse(0, 0)
     return counts
 
 
 def max_fresh(
-    world: World, candidate: Any, prune: bool = True
+    world: World,
+    candidate: int,
+    prune: bool = True,
+    deadline: Optional[float] = None,
 ) -> Optional[Tuple[int, int]]:
     """The leading term of the satisfying-pattern polynomial.
 
@@ -97,67 +132,73 @@ def max_fresh(
     common well-designed case.
 
     ``prune=False`` disables the certain-violation subtree pruning — kept
-    only for the ablation benchmark (``bench_a01``); results must be
-    identical either way.
+    only for the ablation benchmark (``bench_a01``) and the kernel's
+    property tests; results must be identical either way.
     """
-    fixed_labels: List[Any] = list(world.fixed_values)
-    if candidate is FRESH:
-        fixed_labels.append(FRESH)
-    cand_value = _candidate_value(candidate)
+    check_deadline = _deadline_check(deadline)
+    fixed_labels = _fixed_labels(world, candidate)
+    m = len(world.fixed_values)
     erased = world.num_erased
-    unknowns = [Unknown(i) for i in range(erased)]
-    assignment: List[Any] = list(unknowns)
+    rows, cols = world.cell_rows, world.cell_cols
+    assignment: List[int] = [UNKNOWN] * erased
+    world.begin(candidate)
+    prune = prune and world.prunes
+    nodes = 0
 
-    if prune and world.certainly_violated(cand_value, assignment):
+    check_deadline()
+    if prune and world.certainly_violated():
         return None  # violated whatever the completion: dead class
 
-    # The deepening rounds revisit identical prefixes; the certain-violation
-    # verdict depends only on the assigned prefix (the suffix is the same
-    # Unknown sentinels every time), so it is memoized across rounds.
-    memo = {}
+    certainly_violated = world.certainly_violated
+    if prune and world.rescans:
+        # An MVD's check rescans the whole relation, and the deepening
+        # rounds revisit identical prefixes: memoize its verdict per
+        # prefix (it depends on the assigned prefix only).
+        memo: Dict[tuple, bool] = {}
+        check = certainly_violated
 
-    def violated_prefix(i: int) -> bool:
-        if not prune:
-            return False
-        key = tuple(assignment[: i + 1])
-        verdict = memo.get(key)
-        if verdict is None:
-            verdict = world.certainly_violated(cand_value, assignment)
-            memo[key] = verdict
-        return verdict
+        def certainly_violated(i: int) -> bool:
+            key = tuple(assignment[: i + 1])
+            verdict = memo.get(key)
+            if verdict is None:
+                verdict = memo[key] = check(i)
+            return verdict
 
-    def count_at_deficit(budget: int) -> int:
-        found = [0]
+    found = 0
+    budget = 0  # the deficit of the current deepening round
 
-        def recurse(i: int, blocks: int, spent: int) -> None:
-            if i == erased:
-                if spent == budget and world.satisfies(cand_value, assignment):
-                    found[0] += 1
-                return
-            # New fresh block: free.
-            assignment[i] = FreshValue(blocks)
-            if not violated_prefix(i):
-                recurse(i + 1, blocks + 1, spent)
-            # Reusing a block or taking a fixed label costs one deficit;
-            # skip when the budget cannot be met exactly anyway.  Patterns
-            # that underspend are produced by smaller budgets, so the leaf
-            # requires spent == budget — no double counting across rounds.
-            if spent < budget:
-                for block in range(blocks):
-                    assignment[i] = FreshValue(block)
-                    if not violated_prefix(i):
-                        recurse(i + 1, blocks, spent + 1)
-                for label in fixed_labels:
-                    assignment[i] = label
-                    if not violated_prefix(i):
-                        recurse(i + 1, blocks, spent + 1)
-            assignment[i] = unknowns[i]
+    def recurse(i: int, blocks: int, spent: int) -> None:
+        nonlocal found, nodes
+        nodes += 1
+        if not nodes % DEADLINE_EVERY:
+            check_deadline()
+        if i == erased:
+            if spent == budget and world.satisfies(candidate, assignment):
+                found += 1
+            return
+        row, c = rows[i], cols[i]
+        # New fresh block: free.
+        label = m + blocks
+        row[c] = assignment[i] = label
+        if not (prune and certainly_violated(i)):
+            recurse(i + 1, blocks + 1, spent)
+        # Reusing a block or taking a fixed label costs one deficit;
+        # skip when the budget cannot be met exactly anyway.  Patterns
+        # that underspend are produced by smaller budgets, so the leaf
+        # requires spent == budget — no double counting across rounds.
+        if spent < budget:
+            for label in range(m, m + blocks):
+                row[c] = assignment[i] = label
+                if not (prune and certainly_violated(i)):
+                    recurse(i + 1, blocks, spent + 1)
+            for label in fixed_labels:
+                row[c] = assignment[i] = label
+                if not (prune and certainly_violated(i)):
+                    recurse(i + 1, blocks, spent + 1)
+        row[c] = assignment[i] = UNKNOWN
 
+    for budget in range(erased + 1):
         recurse(0, 0, 0)
-        return found[0]
-
-    for deficit in range(erased + 1):
-        count = count_at_deficit(deficit)
-        if count:
-            return erased - deficit, count
+        if found:
+            return erased - budget, found
     return None

@@ -7,17 +7,26 @@ for the lifetime of the :class:`PositionedInstance`.
 
 Constraints are attached per relation.  A positioned instance knows how to
 rebuild a concrete :class:`~repro.relational.relation.Relation` from any
-assignment of values to its positions and check all constraints — this is
-the satisfaction oracle every engine in :mod:`repro.core` drives.
+assignment of values to its positions and check all constraints
+(:meth:`PositionedInstance.satisfies`, the slow reference path).
+
+The engines in :mod:`repro.core` drive its :attr:`~PositionedInstance.kernel`
+instead: every constraint compiled once per instance (and per process —
+it is never pickled) to column-index checks over raw row arrays, with the
+instance's values ranked in ``repr`` order (see
+:mod:`repro.core.fastcheck`).  Each :class:`~repro.core.worlds.World`
+is a cheap view of that kernel: it codes its revealed values as ints and
+owns a private grid; positions map to grid cells through
+:attr:`~PositionedInstance.cells`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.chase.engine import Dependency
-from repro.core.fastcheck import compile_check
+from repro.core.fastcheck import Kernel
 from repro.relational.relation import DatabaseInstance, Relation
 
 
@@ -65,6 +74,7 @@ class PositionedInstance:
                     pos = Position(schema.name, i, attr)
                     self._positions.append(pos)
                     self._cell_of[pos] = (r, i, c)
+        self._kernel: Optional[Kernel] = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -169,71 +179,49 @@ class PositionedInstance:
         return True
 
     def make_oracle(self, variable_positions: Sequence[Position]):
-        """A fast satisfaction oracle over a fixed set of variable positions.
+        """A satisfaction oracle over a fixed set of variable positions.
 
         Returns ``oracle(values)`` taking a value sequence aligned with
         *variable_positions*; all other positions keep their original
-        values.  Dependency checks are compiled to closures over raw row
-        arrays (no Relation construction) — this is the hot path of every
-        engine in :mod:`repro.core`.
+        values.  It runs the instance's compiled :attr:`kernel` on a
+        private row array (no Relation construction).
         """
+        kernel = self.kernel
         var_cells = [self._cell_of[p] for p in variable_positions]
         base: List[List[List[Any]]] = [
             [list(row) for row in rows] for rows in self._rows
         ]
-        checks = [
-            compile_check(dep, self._schemas[r], base[r])
-            for r, schema in enumerate(self._schemas)
-            for dep in self._constraints.get(schema.name, ())
-        ]
-        originals = [self.value_at(p) for p in variable_positions]
 
         def oracle(values: Sequence[Any]) -> bool:
             for (r, i, c), value in zip(var_cells, values):
                 base[r][i][c] = value
-            ok = all(check() for check in checks)
-            # Restore originals so the oracle is reusable and reentrant-safe
-            # within a single-threaded engine loop.
-            for (r, i, c), original in zip(var_cells, originals):
-                base[r][i][c] = original
-            return ok
+            return kernel.satisfied(base)
 
         return oracle
 
-    def make_certain_checker(self, variable_positions: Sequence[Position]):
-        """Three-valued companion of :meth:`make_oracle`.
+    @property
+    def kernel(self) -> Kernel:
+        """The constraints compiled once for this instance (see
+        :mod:`repro.core.fastcheck`); built on first use, per process."""
+        kernel = self._kernel
+        if kernel is None:
+            kernel = self._kernel = Kernel(
+                self._schemas, self._rows, self._constraints
+            )
+        return kernel
 
-        Returns ``checker(values)`` that is True only when some constraint
-        is violated regardless of how the
-        :class:`~repro.core.worlds.Unknown` cells among *values* are
-        concretized — the sound pruning test of the pattern search.
-        """
-        from repro.core.fastcheck import compile_certain_violation
-        from repro.core.worlds import Unknown
+    @property
+    def cells(self) -> Mapping[Position, Tuple[int, int, int]]:
+        """Every position's ``(relation index, row, column)`` grid cell,
+        in canonical position order (read-only)."""
+        return self._cell_of
 
-        def is_unknown(value: Any) -> bool:
-            return isinstance(value, Unknown)
-
-        var_cells = [self._cell_of[p] for p in variable_positions]
-        base: List[List[List[Any]]] = [
-            [list(row) for row in rows] for rows in self._rows
-        ]
-        checks = [
-            compile_certain_violation(dep, self._schemas[r], base[r], is_unknown)
-            for r, schema in enumerate(self._schemas)
-            for dep in self._constraints.get(schema.name, ())
-        ]
-        originals = [self.value_at(p) for p in variable_positions]
-
-        def checker(values: Sequence[Any]) -> bool:
-            for (r, i, c), value in zip(var_cells, values):
-                base[r][i][c] = value
-            doomed = any(check() for check in checks)
-            for (r, i, c), original in zip(var_cells, originals):
-                base[r][i][c] = original
-            return doomed
-
-        return checker
+    def __getstate__(self) -> dict:
+        # The compiled kernel is a per-process cache of closures: never
+        # ship it with the instance (Monte-Carlo chunk payloads).
+        state = self.__dict__.copy()
+        state["_kernel"] = None
+        return state
 
     def check_original(self) -> bool:
         """Sanity check: the unmodified instance satisfies its constraints."""

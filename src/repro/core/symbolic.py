@@ -59,18 +59,18 @@ def revealed_subsets(
             yield frozenset(combo)
 
 
-def world_entropy_k(world: World, k: int) -> float:
+def world_entropy_k(world: World, k: int, deadline: Optional[float] = None) -> float:
     """Exact ``H_k(p | X)`` in bits for the given world."""
     m = len(world.fixed_values)
     if k < m:
         raise ValueError(f"k={k} smaller than the revealed pool ({m})")
 
     weights: List[Tuple[int, int]] = []  # (count of candidates, N per candidate)
-    for v in world.fixed_values:
-        counts = pattern_counts(world, v)
+    for v in range(m):
+        counts = pattern_counts(world, v, deadline=deadline)
         n_v = sum(c * falling_factorial(k - m, b) for b, c in counts.items())
         weights.append((1, n_v))
-    fresh_counts = pattern_counts(world, FRESH)
+    fresh_counts = pattern_counts(world, FRESH, deadline=deadline)
     n_f = sum(
         c * falling_factorial(k - m - 1, b) for b, c in fresh_counts.items()
     )
@@ -91,14 +91,18 @@ def world_entropy_k(world: World, k: int) -> float:
     return entropy
 
 
-def world_limit_ratio(world: World) -> Fraction:
-    """The exact limit ``lim_k H_k(p|X) / log2 k`` for the given world."""
+def world_limit_ratio(world: World, deadline: Optional[float] = None) -> Fraction:
+    """The exact limit ``lim_k H_k(p|X) / log2 k`` for the given world.
+
+    *deadline* is checked inside the pattern search (see
+    :data:`repro.core.patterns.DEADLINE_EVERY`).
+    """
     leading: List[Tuple[int, int]] = []  # (degree, coeff) for fixed candidates
-    for v in world.fixed_values:
-        stat = max_fresh(world, v)
+    for v in range(len(world.fixed_values)):
+        stat = max_fresh(world, v, deadline=deadline)
         if stat is not None:
             leading.append(stat)
-    fresh_stat = max_fresh(world, FRESH)
+    fresh_stat = max_fresh(world, FRESH, deadline=deadline)
 
     degree = max(
         [d for d, _c in leading]
@@ -124,7 +128,8 @@ def inf_k_symbolic(
 
     The sweep is over ``2^(n−1)`` revealed sets; *max_positions* guards the
     exponent (use the Monte-Carlo engine beyond it).  *deadline* is
-    checked once per world (see :func:`repro.service.budget.check_deadline`).
+    checked once per world (see :func:`repro.service.budget.check_deadline`)
+    and inside each world's pattern search.
     """
     from repro.service.budget import check_deadline
 
@@ -139,7 +144,7 @@ def inf_k_symbolic(
     with TRACER.span("ric.sweep", engine="entropy_k", positions=n) as span:
         for revealed in revealed_subsets(instance, p):
             check_deadline(deadline)
-            total += world_entropy_k(World(instance, p, revealed), k)
+            total += world_entropy_k(World(instance, p, revealed), k, deadline)
             count += 1
         span.set(worlds=count)
     METRICS.inc("ric.sweeps")
@@ -155,7 +160,8 @@ def ric_exact(
 ) -> Fraction:
     """The exact relative information content ``RIC_I(p | Σ) ∈ [0, 1]``.
 
-    *deadline* is checked once per world, as in :func:`inf_k_symbolic`.
+    *deadline* is checked once per world and inside each world's pattern
+    search, as in :func:`inf_k_symbolic`.
     """
     from repro.service.budget import check_deadline
 
@@ -170,7 +176,7 @@ def ric_exact(
     with TRACER.span("ric.sweep", engine="exact", positions=n) as span:
         for revealed in revealed_subsets(instance, p):
             check_deadline(deadline)
-            total += world_limit_ratio(World(instance, p, revealed))
+            total += world_limit_ratio(World(instance, p, revealed), deadline)
             count += 1
         span.set(worlds=count)
     METRICS.inc("ric.sweeps")

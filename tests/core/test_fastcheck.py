@@ -2,15 +2,15 @@
 
 The compiled closures must agree with the reference ``is_satisfied_by``
 methods on every instance — checked exhaustively on small value grids and
-under Hypothesis.
+under Hypothesis.  Three-valued cases use the kernel's int cell coding:
+``UNKNOWN`` marks an unassigned cell.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fastcheck import compile_certain_violation, compile_check
-from repro.core.worlds import Unknown
+from repro.core.fastcheck import UNKNOWN, Kernel, compile_dependency
 from repro.dependencies.fd import FD
 from repro.dependencies.jd import JD
 from repro.dependencies.mvd import MVD
@@ -41,44 +41,43 @@ class TestCompiledAgreesWithReference:
     def test_agreement(self, rows, dep):
         relation = Relation(SCHEMA, rows)
         mutable = [list(r) for r in relation.sorted_rows()]
-        check = compile_check(dep, SCHEMA, mutable)
-        assert check() == dep.is_satisfied_by(relation)
+        holds = compile_dependency(dep, SCHEMA).holds
+        assert holds(mutable) == dep.is_satisfied_by(relation)
 
     def test_check_sees_mutations(self):
         mutable = [[1, 2, 3], [1, 9, 3]]
-        check = compile_check(FD("A", "B"), SCHEMA, mutable)
-        assert not check()
+        holds = compile_dependency(FD("A", "B"), SCHEMA).holds
+        assert not holds(mutable)
         mutable[1][1] = 2
-        assert check()
+        assert holds(mutable)
 
     def test_unsupported_dependency_rejected(self):
         with pytest.raises(TypeError):
-            compile_check(object(), SCHEMA, [])
+            compile_dependency(object(), SCHEMA)
 
 
 class TestCertainViolation:
     @staticmethod
-    def is_unknown(v):
-        return isinstance(v, Unknown)
-
-    def certain(self, dep, rows):
-        return compile_certain_violation(dep, SCHEMA, rows, self.is_unknown)()
+    def certain(dep, rows):
+        """The kernel's full three-valued check on one relation."""
+        kernel = Kernel([SCHEMA], [[]], {"R": [dep]})
+        return kernel.certainly_violated([rows])
 
     def test_fd_concrete_violation_is_certain(self):
         rows = [[1, 2, 3], [1, 9, 3]]
         assert self.certain(FD("A", "B"), rows)
 
     def test_fd_unknown_masks_violation(self):
-        rows = [[1, Unknown(0), 3], [1, 9, 3]]
+        rows = [[1, UNKNOWN, 3], [1, 9, 3]]
         assert not self.certain(FD("A", "B"), rows)
 
     def test_fd_unknown_in_lhs_masks(self):
-        rows = [[Unknown(0), 2, 3], [1, 9, 3]]
+        rows = [[UNKNOWN, 2, 3], [1, 9, 3]]
         assert not self.certain(FD("A", "B"), rows)
 
     def test_fd_third_row_violation_found(self):
         # Row 0's rhs is unknown but rows 1 and 2 certainly clash.
-        rows = [[1, Unknown(0), 0], [1, 5, 0], [1, 6, 0]]
+        rows = [[1, UNKNOWN, 0], [1, 5, 0], [1, 6, 0]]
         assert self.certain(FD("A", "B"), rows)
 
     def test_mvd_missing_pinned_witness_is_certain(self):
@@ -91,16 +90,18 @@ class TestCertainViolation:
         # The (t1=row0, t2=row1) witness (1,2,?) is not pinned, and the
         # (t1=row1, t2=row0) witness (1,5,3) is matched by row1 itself
         # via its unknown C — no certain violation either way.
-        rows = [[1, 2, 3], [1, 5, Unknown(0)]]
+        rows = [[1, 2, 3], [1, 5, UNKNOWN]]
         assert not self.certain(MVD("A", "B"), rows)
 
     def test_mvd_compatible_row_with_unknowns_not_certain(self):
-        rows = [[1, 2, 3], [1, 5, 6], [1, Unknown(0), Unknown(1)], [1, 8, 8]]
+        rows = [[1, 2, 3], [1, 5, 6], [1, UNKNOWN, UNKNOWN], [1, 8, 8]]
         assert not self.certain(MVD("A", "B"), rows)
 
     def test_jd_never_prunes(self):
         rows = [[1, 2, 3]]
         assert not self.certain(JD("AB", "AC"), rows)
+        assert compile_dependency(JD("AB", "AC"), SCHEMA).certain is None
+        assert not Kernel([SCHEMA], [[]], {"R": [JD("AB", "AC")]}).prunes
 
     @settings(max_examples=40, deadline=None)
     @given(rows3, st.sampled_from(DEPS))
@@ -109,9 +110,7 @@ class TestCertainViolation:
         for FDs/MVDs (JDs opt out of pruning)."""
         relation = Relation(SCHEMA, rows)
         mutable = [list(r) for r in relation.sorted_rows()]
-        certain = compile_certain_violation(
-            dep, SCHEMA, mutable, self.is_unknown
-        )()
+        certain = self.certain(dep, mutable)
         actual = not dep.is_satisfied_by(relation)
         if isinstance(dep, JD):
             assert certain is False

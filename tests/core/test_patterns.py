@@ -58,7 +58,7 @@ class TestPatternCounts:
         # Revealed B values are equal (2), so C is forced to 3.
         ok = {}
         for candidate in world.candidate_classes():
-            ok[repr(candidate)] = pattern_counts(world, candidate)
+            ok[repr(world.decode(candidate))] = pattern_counts(world, candidate)
         assert ok["3"] == {0: 1}
         assert ok["*-1"] == {}  # fresh candidate impossible
         assert ok["2"] == {}

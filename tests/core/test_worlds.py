@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.positions import PositionedInstance
-from repro.core.worlds import FRESH, FreshValue, Unknown, World
+from repro.core.worlds import FRESH, UNKNOWN, FreshValue, World
 from repro.dependencies.fd import FD
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
@@ -46,27 +46,34 @@ class TestWorld:
     def test_candidate_classes(self):
         _inst, _p, world = make_world([(0, "B"), (1, "B")])
         classes = world.candidate_classes()
-        assert classes[-1] is FRESH
-        assert set(classes[:-1]) == {2, 4}
+        assert classes[-1] == FRESH
+        assert classes[:-1] == [0, 1]  # revealed values coded in repr order
+        assert {world.decode(c) for c in classes[:-1]} == {2, 4}
 
     def test_satisfies_uses_constraints(self):
         # p = (0, A); revealed: everything else; candidate 3 makes the two
         # rows agree on A with different B: violation.
         _inst, _p, world = make_world([(0, "B"), (1, "A"), (1, "B")])
         assert world.num_erased == 0
-        assert not world.satisfies(3, [])
-        assert world.satisfies(9, [])
+        three, nine = world.encode([3, 9])
+        assert not world.satisfies(three, [])
+        assert world.satisfies(nine, [])
         assert world.satisfies(FRESH, [])
 
     def test_certainly_violated_on_partial(self):
         _inst, _p, world = make_world([(0, "B"), (1, "B")])
-        # erased: row 1's A. candidate 3 with row-1 A unknown: not certain
-        # (row 1's A could differ) — wait, candidate sits at row 0's A and
-        # row 1's A = 3 is original.  Use the pinned case:
-        assert not world.certainly_violated(9, [Unknown(0)])
+        # erased: row 1's A; the candidate sits at row 0's A.  With row
+        # 1's A unassigned nothing is certain:
+        nine, three = world.encode([9, 3])
+        world.begin(nine)
+        assert not world.certainly_violated()
         # Pin row 1's A equal to the candidate: rows agree on A but B
-        # values 2 vs 4 are revealed-distinct: certain violation.
-        assert world.certainly_violated(3, [3])
+        # values 2 vs 4 are revealed-distinct: certain violation, found by
+        # the full check and by the incremental check of that cell.
+        world.begin(three)
+        world.assign(0, three)
+        assert world.certainly_violated()
+        assert world.certainly_violated(0)
 
 
 class TestSentinels:
@@ -76,8 +83,17 @@ class TestSentinels:
         assert FreshValue(0) != 0
 
     def test_unknown_distinct_from_fresh(self):
-        assert Unknown(0) != FreshValue(0)
+        _inst, _p, world = make_world([(0, "B"), (1, "B")])
+        assert UNKNOWN != FRESH
+        # Neither sentinel collides with a revealed or fresh-block code.
+        codes = set(world.candidate_classes()) | {len(world.fixed_values)}
+        assert UNKNOWN not in codes
+        with pytest.raises(ValueError):
+            world.decode(UNKNOWN)
 
     def test_reprs(self):
         assert repr(FreshValue(3)) == "*3"
-        assert repr(Unknown(3)) == "?3"
+        _inst, _p, world = make_world([(0, "B"), (1, "B")])
+        m = len(world.fixed_values)
+        assert repr(world.decode(m + 3)) == "*3"
+        assert repr(world.decode(FRESH)) == "*-1"
